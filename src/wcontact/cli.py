@@ -13,7 +13,7 @@ from . import jobs
 from .charts import (generic_chart, lift_chart_equivalence, lift_contact,
                      lift_interior, relative_hilb_equations,
                      verify_membership_equivalence)
-from .errors import ParseError, WContactError
+from .errors import ParseError, UsageError, WContactError
 from .families import ContactFamily, to_distinguished
 from .geometry import (AffineScheme, nested_singularity_report,
                        singular_locus_ideal, tangent_space_dim, variety_equal)
@@ -61,6 +61,14 @@ def _parse_gens(text: str, ring: PolyRing) -> List[Poly]:
     return [ring.parse(part) for part in text.split(",") if part.strip()]
 
 
+def _vars_ring(text: str) -> PolyRing:
+    """The ring of a comma-separated --vars list."""
+    try:
+        return PolyRing(v.strip() for v in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--vars: {exc}") from None
+
+
 def _family_arg(args) -> ContactFamily:
     return load_family(args.family)
 
@@ -93,13 +101,6 @@ def _build_chart(args, geo_vars: Tuple[str, str] = ("x", "y")):
     names = args.chart_params.split(",") if getattr(args, "chart_params", None) \
         else None
     return generic_chart(stair, order, param_names=names, geo_vars=geo_vars)
-
-
-def _scheme_from_args(args) -> AffineScheme:
-    ambient = tuple(args.vars.split(","))
-    ring = PolyRing(ambient)
-    eqs = _parse_gens(args.eqs, ring)
-    return AffineScheme(ambient, eqs, expected_codim=args.codim)
 
 
 def _parse_point(text: str) -> Dict[str, Fraction]:
@@ -159,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timings (non-deterministic)")
+        p.set_defaults(subparser=p)  # for usage errors found after parsing
         return p
 
     p = add("gb", help="reduced Groebner basis")
@@ -248,28 +250,23 @@ def _dispatch(args) -> Tuple[dict, int]:
     global args_trunc
     args_trunc = args.trunc
     cmd = args.command
+    ring = _vars_ring(args.vars) if "vars" in args else None
 
-    if cmd == "gb":
-        ring = PolyRing(tuple(args.vars.split(",")))
-        gens = _parse_gens(args.gens, ring)
+    if cmd in ("gb", "nf"):
+        p = ring.parse(args.poly) if cmd == "nf" else None
+        gens = [g for g in _parse_gens(args.gens, ring) if not g.is_zero()]
+        if not gens:
+            raise UsageError("--gens: no nonzero generator")
         order = TermOrder.parse(args.order) if args.order \
             else TermOrder.degrevlex(ring.variables)
         G = gb_buchberger(gens, order)
-        return {"generators": [poly_json(g, order) for g in G]}, 0
-
-    if cmd == "nf":
-        ring = PolyRing(tuple(args.vars.split(",")))
-        p = ring.parse(args.poly)
-        gens = _parse_gens(args.gens, ring)
-        order = TermOrder.parse(args.order) if args.order \
-            else TermOrder.degrevlex(ring.variables)
-        G = gb_buchberger(gens, order)
+        if cmd == "gb":
+            return {"generators": [poly_json(g, order) for g in G]}, 0
         return {"normal_form": poly_json(normal_form(p, G), order)}, 0
 
     if cmd == "colength":
-        variables = tuple(args.vars.split(","))
-        ring = PolyRing(variables)
-        I = LocalIdeal(_parse_gens(args.gens, ring), variables=variables,
+        I = LocalIdeal(_parse_gens(args.gens, ring),
+                       variables=ring.variables,
                        truncation=args.trunc).certify()
         return {"colength": I.colength,
                 "quotient_basis": [str(I.ring.monomial(b))
@@ -362,35 +359,26 @@ def _dispatch(args) -> Tuple[dict, int]:
                 "counterexamples": [vars(s) for s in rep.counterexamples]}, \
             0 if rep.ok else 1
 
-    if cmd == "sing":
-        S = _scheme_from_args(args)
-        sing = singular_locus_ideal(S)
-        return {"generators": [poly_json(g) for g in sing]}, 0
-
-    if cmd == "tangent":
-        S = _scheme_from_args(args)
+    if cmd in ("sing", "tangent"):
+        S = AffineScheme(ring.variables, _parse_gens(args.eqs, ring),
+                         expected_codim=args.codim)
+        if cmd == "sing":
+            sing = singular_locus_ideal(S)
+            return {"generators": [poly_json(g) for g in sing]}, 0
         point = _parse_point(args.point)
         return {"tangent_dimension": tangent_space_dim(S, point)}, 0
 
     if cmd == "variety-eq":
-        ring = PolyRing(tuple(args.vars.split(",")))
         return {"equal": variety_equal(_parse_gens(args.a, ring),
                                        _parse_gens(args.b, ring))}, 0
 
-    if cmd == "milnor":
-        variables = tuple(args.vars.split(","))
-        p = PolyRing(variables).parse(args.poly)
-        return {"milnor": milnor_number(p, variables)}, 0
-
-    if cmd == "tjurina":
-        variables = tuple(args.vars.split(","))
-        p = PolyRing(variables).parse(args.poly)
-        return {"tjurina": tjurina_number(p, variables)}, 0
-
-    if cmd == "delta-inv":
-        variables = tuple(args.vars.split(","))
-        p = PolyRing(variables).parse(args.poly)
-        mu = milnor_number(p, variables)
+    if cmd in ("milnor", "tjurina", "delta-inv"):
+        p = ring.parse(args.poly)
+        if cmd == "tjurina":
+            return {"tjurina": tjurina_number(p, ring.variables)}, 0
+        mu = milnor_number(p, ring.variables)
+        if cmd == "milnor":
+            return {"milnor": mu}, 0
         return {"milnor": mu,
                 "branches": args.branches,
                 "delta": delta_invariant(p, args.branches)}, 0
@@ -411,6 +399,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _dispatch(args)
+    except UsageError as exc:
+        args.subparser.print_usage(sys.stderr)
+        print(f"{args.subparser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except WContactError as exc:
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         _emit(report, args)

@@ -17,6 +17,10 @@ class ParseError(WContactError):
         self.position = position
 
 
+class UsageError(WContactError):
+    """A command-line flag has a value the command cannot use."""
+
+
 class UnknownVariable(WContactError):
     pass
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -11,11 +12,95 @@ from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
                    mono_divides, mono_lcm, mono_mul)
 
 
+Row = Dict[Exponents, int]
+
+
+class _Reducer:
+    """Integer rows with their leads, and the one fraction-free division by
+    them that Buchberger's algorithm and ``normal_form`` share.
+
+    Each monomial seen is cached with its heap key and its first divisor
+    among the leads, so repeated divisions do not rescan the leads; rows are
+    only ever appended to ``leads`` and ``rows``, which keeps a cached
+    divisor valid.
+    """
+
+    __slots__ = ("key", "leads", "rows", "_seen")
+
+    def __init__(self, key, leads: List[Exponents], rows: List[Row]):
+        self.key = key
+        self.leads = leads
+        self.rows = rows
+        self._seen: Dict[Exponents, list] = {}
+
+    def _lookup(self, e: Exponents) -> list:
+        """[heap key, index of the first lead dividing e or -1, leads tried]."""
+        entry = self._seen.get(e)
+        if entry is None:
+            # the order keys are linear in e, so this is the key negated: a
+            # min-heap pops the largest monomial first
+            entry = self._seen[e] = [self.key(tuple(map(int.__neg__, e))),
+                                     -1, 0]
+        if entry[1] < 0:
+            for k in range(entry[2], len(self.leads)):
+                if mono_divides(self.leads[k], e):
+                    entry[1] = k
+                    break
+            entry[2] = len(self.leads)
+        return entry
+
+    def reduce(self, row: Row) -> Tuple[Row, int]:
+        """Full division of ``row``.
+
+        Returns ``(r, m)`` with ``m != 0`` the product of the scalings, such
+        that ``m * row - r`` lies in the ideal of the rows and no term of
+        ``r`` is divisible by a lead; ``r / m`` is the exact remainder over Q.
+        """
+        lookup = self._lookup
+        remaining = dict(row)
+        out: Dict[Exponents, Tuple[int, int]] = {}
+        mult = 1
+        heap = [(lookup(e)[0], e) for e in remaining]
+        heapq.heapify(heap)
+        while heap:
+            _, e = heapq.heappop(heap)
+            c = remaining.pop(e, 0)
+            if not c:
+                continue
+            i = lookup(e)[1]
+            if i < 0:
+                out[e] = (c, mult)  # rescaled by the later scalings at the end
+                continue
+            lm, g = self.leads[i], self.rows[i]
+            d = math.gcd(c, g[lm])
+            a, b = g[lm] // d, c // d
+            if a != 1:
+                mult *= a
+                for k in remaining:
+                    remaining[k] *= a
+            shift = mono_div(e, lm)
+            for ge, gc in g.items():
+                if ge == lm:
+                    continue
+                ne = tuple(map(int.__add__, ge, shift))  # mono_mul, inlined
+                s = remaining.get(ne, 0) - b * gc
+                if s:
+                    if ne not in remaining:
+                        heapq.heappush(heap, (lookup(ne)[0], ne))
+                    remaining[ne] = s
+                else:
+                    remaining.pop(ne, None)
+            # terms already moved to `out` are irreducible and unaffected:
+            # the subtracted tail only introduces monomials strictly below e
+        return {e: c * (mult // m) for e, (c, m) in out.items()}, mult
+
+
 class GroebnerBasis:
     """A Groebner basis with its order; generators are primitive integer
     polynomials with positive leading coefficient."""
 
-    __slots__ = ("generators", "order", "reduced", "_ring", "_key", "_leads")
+    __slots__ = ("generators", "order", "reduced", "_ring", "_key", "_leads",
+                 "_reducer")
 
     def __init__(self, generators: List[Poly], order: TermOrder, reduced: bool):
         self.generators = generators
@@ -24,6 +109,8 @@ class GroebnerBasis:
         self._ring = generators[0].ring if generators else None
         self._key = order.key_function(self._ring) if self._ring else None
         self._leads = [_lead(g.terms, self._key) for g in generators]
+        self._reducer = _Reducer(self._key, self._leads,
+                                 [g.primitive_terms()[0] for g in generators])
 
     @property
     def ring(self) -> PolyRing:
@@ -53,76 +140,8 @@ class QuotientBasis:
         self.dimension = len(monomials)
 
 
-def _lead(terms: Dict[Exponents, Fraction], key) -> Exponents:
+def _lead(terms: Dict[Exponents, object], key) -> Exponents:
     return max(terms, key=key)
-
-
-def _primitive(terms: Dict[Exponents, Fraction], key) -> Dict[Exponents, Fraction]:
-    """Scale to coprime integer coefficients with positive leading coefficient."""
-    if not terms:
-        return terms
-    import math
-    denom_lcm = 1
-    for c in terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-    scale = Fraction(num_gcd, denom_lcm)
-    if terms[_lead(terms, key)] < 0:
-        scale = -scale
-    return {e: c / scale for e, c in terms.items()}
-
-
-def _reduce_terms(p: Dict[Exponents, Fraction],
-                  leads: Sequence[Exponents],
-                  gens_terms: Sequence[Dict[Exponents, Fraction]],
-                  key) -> Dict[Exponents, Fraction]:
-    """Full multivariate division remainder of p by the generators."""
-    remaining = dict(p)
-    out: Dict[Exponents, Fraction] = {}
-    seen = set()
-    heap = [(_neg_key(key(e)), e) for e in remaining]
-    heapq.heapify(heap)
-    while heap:
-        _, e = heapq.heappop(heap)
-        if e in seen or e not in remaining:
-            continue
-        c = remaining.pop(e)
-        reducer = -1
-        for i, lm in enumerate(leads):
-            if mono_divides(lm, e):
-                reducer = i
-                break
-        if reducer < 0:
-            out[e] = c
-            seen.add(e)
-            continue
-        g = gens_terms[reducer]
-        lm = leads[reducer]
-        factor = c / g[lm]
-        shift = mono_div(e, lm)
-        for ge, gc in g.items():
-            if ge == lm:
-                continue
-            ne = mono_mul(ge, shift)
-            s = remaining.get(ne, 0) - factor * gc
-            if s:
-                if ne not in remaining and ne not in seen:
-                    heapq.heappush(heap, (_neg_key(key(ne)), ne))
-                remaining[ne] = s
-            else:
-                remaining.pop(ne, None)
-        # terms already moved to `out` are irreducible and unaffected: the
-        # subtracted tail only introduces monomials strictly below e
-    return out
-
-
-def _neg_key(k):
-    """Invert a sort key so a min-heap pops the largest monomial first."""
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
 
 
 def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
@@ -135,21 +154,37 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
-    """Remainder of p under full division by G; p - result lies in <G>."""
+    """Exact remainder over Q of p under full division by G; p - result lies
+    in <G>."""
     if p.ring != G.ring:
         p = p.map_to(G.ring)
-    terms = _reduce_terms(p.terms, G._leads, [g.terms for g in G.generators],
-                          G._key)
-    return Poly(G.ring, terms)
+    row, scale = p.primitive_terms()
+    rem, mult = G._reducer.reduce(row)
+    scale /= mult
+    return Poly(G.ring, {e: c * scale for e, c in rem.items()})
+
+
+def _primitive_row(row: Row, lead: Exponents) -> Row:
+    """Divide by the integer content, signed so the lead coefficient is > 0."""
+    d = math.gcd(*row.values())
+    if row[lead] < 0:
+        d = -d
+    return {e: c // d for e, c in row.items()}
 
 
 def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
                   stop_at_unit: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of <gens> by Buchberger's algorithm.
 
-    Pair selection uses the sugar strategy; the coprime-lead and chain
-    criteria prune S-pairs.  With ``stop_at_unit`` the computation returns
-    the basis {1} as soon as a constant enters the basis.
+    The basis is kept as primitive integer rows: denominators are cleared
+    once on input and each row is divided by its integer content when it
+    enters the basis.  S-polynomials and reductions are fraction-free, by
+    the same kernel that ``normal_form`` uses.  Pairs are selected by the
+    sugar strategy and pruned by the Gebauer-Moeller update (criteria M, F
+    and B and the coprime-lead criterion), run once for each new basis
+    element; an element whose lead a newer lead divides gets no new pairs.
+    With ``stop_at_unit`` the computation returns the basis {1} as soon as a
+    constant enters the basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -161,105 +196,80 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     order = order.for_ring(ring)
     key = order.key_function(ring)
 
-    basis: List[Dict[Exponents, Fraction]] = []
-    leads: List[Exponents] = []
+    basis = _Reducer(key, [], [])
+    leads, rows = basis.leads, basis.rows
     sugars: List[int] = []
+    active: List[int] = []  # the basis elements no newer lead divides
+    pairs: List[Tuple[Tuple, int, int]] = []  # heap of ((sugar, deg, lcm), i, j)
 
-    def add_poly(terms: Dict[Exponents, Fraction], sugar: int) -> bool:
-        """Append to the basis; True if it is a nonzero constant."""
-        terms = _primitive(terms, key)
-        basis.append(terms)
-        lm = _lead(terms, key)
-        leads.append(lm)
+    def add_row(row: Row, sugar: int) -> bool:
+        """Enter a reduced row and update the pairs; True if it is constant."""
+        lh = _lead(row, key)
+        h = len(rows)
+        leads.append(lh)
+        rows.append(_primitive_row(row, lh))
         sugars.append(sugar)
-        return not any(lm)
+        # criteria M and F, then the coprime-lead criterion, on new pairs
+        cands = [(mono_lcm(leads[g], lh), g, not any(map(min, leads[g], lh)))
+                 for g in active]
+        kept: List[Tuple[Exponents, int, bool]] = []
+        for k, (lcm, g, coprime) in enumerate(cands):
+            if coprime or not any(mono_divides(m, lcm)
+                                  for m, _, _ in cands[k + 1:] + kept):
+                kept.append((lcm, g, coprime))
+        # criterion B on the pending pairs
+        pairs[:] = [p for p in pairs
+                    if not mono_divides(lh, p[0][2])
+                    or mono_lcm(leads[p[1]], lh) == p[0][2]
+                    or mono_lcm(leads[p[2]], lh) == p[0][2]]
+        for lcm, g, coprime in kept:
+            if not coprime:
+                pair_sugar = max(sugars[g] + sum(lcm) - sum(leads[g]),
+                                 sugar + sum(lcm) - sum(lh))
+                pairs.append(((pair_sugar, sum(lcm), lcm), g, h))
+        heapq.heapify(pairs)
+        active[:] = [g for g in active if not mono_divides(lh, leads[g])]
+        active.append(h)
+        return not any(lh)
 
     unit_found = False
     for g in gens:
-        terms = _reduce_terms(g.terms, leads, basis, key)
-        if terms:
-            if add_poly(terms, max(sum(e) for e in g.terms)):
-                unit_found = True
-
-    pairs: List[Tuple[Tuple, int, int]] = []
-    done = set()
-
-    def push_pairs(j: int):
-        lj = leads[j]
-        for i in range(j):
-            li = leads[i]
-            lcm = mono_lcm(li, lj)
-            if lcm == mono_mul(li, lj):
-                done.add((i, j))  # coprime leads: S-poly reduces to zero
-                continue
-            sugar = max(sugars[i] + sum(mono_div(lcm, li)),
-                        sugars[j] + sum(mono_div(lcm, lj)))
-            heapq.heappush(pairs, ((sugar, sum(lcm), lcm), i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
+        row = basis.reduce(g.primitive_terms()[0])[0]
+        if row and add_row(row, g.total_degree()):
+            unit_found = True
+            break
 
     while pairs and not unit_found:
         (_, _, lcm), i, j = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(leads[k], lcm):
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (a, b) in done and (c, d) in done:
-                    skip = True
-                    break
-        if skip:
-            continue
         li, lj = leads[i], leads[j]
-        fi, fj = basis[i], basis[j]
         shift_i, shift_j = mono_div(lcm, li), mono_div(lcm, lj)
-        ci, cj = fi[li], fj[lj]
-        sp: Dict[Exponents, Fraction] = {}
-        for e, c in fi.items():
-            sp[mono_mul(e, shift_i)] = c / ci
-        for e, c in fj.items():
-            ne = mono_mul(e, shift_j)
-            s = sp.get(ne, 0) - c / cj
-            if s:
-                sp[ne] = s
-            else:
-                sp.pop(ne, None)
-        rem = _reduce_terms(sp, leads, basis, key)
+        # (c_j/g) x^shift_i f_i - (c_i/g) x^shift_j f_j, g = gcd(c_i, c_j)
+        d = math.gcd(rows[i][li], rows[j][lj])
+        sp: Row = {}
+        for f, shift, scale in ((rows[i], shift_i, rows[j][lj] // d),
+                                (rows[j], shift_j, -(rows[i][li] // d))):
+            for e, c in f.items():
+                ne = mono_mul(e, shift)
+                sp[ne] = sp.get(ne, 0) + scale * c
+        sp = {e: c for e, c in sp.items() if c}
+        rem = basis.reduce(sp)[0]
         if rem:
             sugar = max(sugars[i] + sum(shift_i), sugars[j] + sum(shift_j))
-            if add_poly(rem, sugar):
-                unit_found = True
-                break
-            push_pairs(len(basis) - 1)
+            unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:
         return GroebnerBasis([ring.one()], order, True)
 
-    # minimalize: drop generators whose lead is divisible by another lead
-    keep = []
-    for i, lm in enumerate(leads):
-        if any(j != i and mono_divides(leads[j], lm)
-               and (leads[j] != lm or j < i) for j in range(len(leads))):
-            continue
-        keep.append(i)
-
-    # inter-reduce tails for the reduced basis
+    # the active leads are minimal; reduce the tails for the reduced basis
+    # (no lead divides a monomial below it, so a row never reduces its tail)
     final: List[Poly] = []
-    kept_leads = [leads[i] for i in keep]
-    kept_terms = [basis[i] for i in keep]
-    for idx in range(len(keep)):
-        others_leads = kept_leads[:idx] + kept_leads[idx + 1:]
-        others_terms = kept_terms[:idx] + kept_terms[idx + 1:]
-        rem = _reduce_terms(kept_terms[idx], others_leads, others_terms, key)
-        rem = _primitive(rem, key)
-        final.append(Poly(ring, rem))
+    for g in active:
+        tail = dict(rows[g])
+        lc = tail.pop(leads[g])
+        row, mult = basis.reduce(tail)
+        row[leads[g]] = lc * mult
+        row = _primitive_row(row, leads[g])
+        final.append(Poly(ring, {e: Fraction(c) for e, c in row.items()}))
     final.sort(key=lambda p: key(_lead(p.terms, key)))
     return GroebnerBasis(final, order, True)
 

@@ -316,24 +316,23 @@ class Poly:
             out.setdefault(gkey, {})[rest] = c
         return {g: Poly(self.ring, t) for g, t in out.items()}
 
-    def content_normalized(self) -> Tuple["Poly", Fraction]:
-        """Return (primitive integer polynomial, scale) with self = scale * primitive.
+    def primitive_terms(self) -> Tuple[Dict[Exponents, int], Fraction]:
+        """Return (terms, scale) with self = scale * terms, scale > 0 and
+        ``terms`` coprime Python ints (empty, with scale 1, for zero).
 
-        The primitive part has coprime integer coefficients; its sign is fixed
-        separately by the caller (printing makes the leading coefficient
-        positive under the active order).
+        The sign of the primitive part is left to the caller (printing makes
+        the leading coefficient positive under the active order).
         """
         if not self.terms:
-            return self, Fraction(1)
+            return {}, Fraction(1)
         denom_lcm = 1
         for c in self.terms.values():
             denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        scale = Fraction(num_gcd, denom_lcm)
-        prim = Poly(self.ring, {e: c / scale for e, c in self.terms.items()})
-        return prim, scale
+        ints = {e: c.numerator * (denom_lcm // c.denominator)
+                for e, c in self.terms.items()}
+        num_gcd = math.gcd(*ints.values())
+        return ({e: c // num_gcd for e, c in ints.items()},
+                Fraction(num_gcd, denom_lcm))
 
     # -- printing ---------------------------------------------------------
 
@@ -383,7 +382,8 @@ def canonical_form(p: Poly, order: "TermOrder" = None) -> Tuple[str, Fraction]:
     """
     if p.is_zero():
         return "0", Fraction(1)
-    prim, scale = p.content_normalized()
+    terms, scale = p.primitive_terms()
+    prim = Poly(p.ring, {e: Fraction(c) for e, c in terms.items()})
     lead_c = prim.sorted_terms(order)[0][1]
     if lead_c < 0:
         prim, scale = -prim, -scale

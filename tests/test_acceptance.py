@@ -75,7 +75,7 @@ def test_2_singular_locus_of_chart():
     S = AffineScheme(H_VARS, eqs, expected_codim=2)
     sing = singular_locus_ideal(S)
     assert variety_equal(sing, SING_GENS)
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < 15.0
 
 
 def test_3_lift_chart_equivalence():

@@ -212,6 +212,18 @@ class TestExitCodes:
             build_parser().parse_args(["gb"])   # missing required args
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gb", "--gens", "x,y", "--vars", "x,x"],
+        ["gb", "--gens", "0", "--vars", "x"],
+        ["nf", "--poly", "x", "--gens", "0", "--vars", "x,y"],
+    ], ids=["duplicate-vars", "gb-zero-gens", "nf-zero-gens"])
+    def test_unusable_flag_values_are_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: wcontact {argv[0]} ")
+        assert f"wcontact {argv[0]}: error: --" in captured.err
+
     def test_text_format(self, tmp_path):
         out = tmp_path / "t.txt"
         code = main(["milnor", "--poly", "y^2+x^4", "--format", "text",

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from wcontact.errors import InfiniteColength
 from wcontact.groebner import (gb_buchberger, ideal_membership, normal_form,
@@ -177,3 +178,88 @@ class TestClosureProperty:
                 others = [lm for j, lm in enumerate(leads) if j != i]
                 for e in g.terms:
                     assert not any(mono_divides(lm, e) for lm in others)
+
+
+def _random_rational_poly(rng, ring, max_terms=4, max_deg=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in ring.variables)
+        terms[e] = terms.get(e, 0) + Fraction(rng.randint(-6, 6),
+                                              rng.randint(1, 3))
+    return Poly(ring, {e: c for e, c in terms.items() if c})
+
+
+def _to_sympy(p):
+    symbols = sympy.symbols(p.ring.variables)
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod(s ** k for s, k in zip(symbols, e))
+               for e, c in p.terms.items()) + sympy.S.Zero
+
+
+def _from_sympy(expr, ring, symbols):
+    """Terms of a sympy expression as exponents over the ring's variables."""
+    idx = [ring.index(str(s)) for s in symbols]
+    terms = {}
+    for monom, c in sympy.Poly(expr, *symbols).terms():
+        if not c:
+            continue  # the zero polynomial lists one zero term
+        e = [0] * ring.nvars
+        for i, k in zip(idx, monom):
+            e[i] = k
+        terms[tuple(e)] = Fraction(int(c.p), int(c.q))
+    return terms
+
+
+def _monic(p, key):
+    lead = max(p.terms, key=key)
+    return frozenset((e, c / p.terms[lead]) for e, c in p.terms.items())
+
+
+class TestAgainstSympy:
+    """Differential tests against sympy on seeded random ideals.
+
+    A reduced Groebner basis is unique once made monic, and division by it
+    leaves a unique remainder, so both must agree exactly with sympy's.
+    """
+
+    CASES = [(seed, nvars, kind) for seed in range(12) for nvars in (2, 3)
+             for kind in ("lex", "degrevlex")]
+
+    @pytest.mark.parametrize("seed,nvars,kind", CASES)
+    def test_basis_and_remainders_match(self, seed, nvars, kind):
+        rng = random.Random(seed * 7919 + nvars)
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        priority = tuple(rng.sample(ring.variables, nvars))
+        order = TermOrder(kind, priority)
+        symbols = sympy.symbols(priority)
+        gens = []
+        while not gens:
+            gens = [g for g in (_random_rational_poly(rng, ring)
+                                for _ in range(rng.randint(1, 4))) if g]
+        sym_order = "lex" if kind == "lex" else "grevlex"
+        SG = sympy.groebner([_to_sympy(g) for g in gens], *symbols,
+                            order=sym_order, domain=sympy.QQ)
+        G = gb_buchberger(gens, order)
+        key = order.key_function(ring)
+        assert {_monic(g, key) for g in G} == {
+            _monic(Poly(ring, _from_sympy(s, ring, symbols)), key)
+            for s in SG.exprs}
+        for _ in range(4):
+            p = _random_rational_poly(rng, ring, max_terms=6, max_deg=4)
+            remainder = SG.reduce(_to_sympy(p))[1]
+            assert normal_form(p, G).terms == \
+                _from_sympy(remainder, ring, symbols)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_ideal(self, seed):
+        rng = random.Random(seed)
+        ring = PolyRing(("x", "y"))
+        a = b = ring.zero()
+        while a.is_zero() or b.is_zero():
+            a, b = _random_rational_poly(rng, ring), \
+                _random_rational_poly(rng, ring)
+        # x*a + y*b + (1 - x*a - y*b) = 1
+        gens = [a, b, ring.one() - ring.var("x") * a - ring.var("y") * b]
+        for stop in (True, False):
+            G = gb_buchberger(gens, LEX_YX, stop_at_unit=stop)
+            assert list(G) == [ring.one()]
