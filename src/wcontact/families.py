@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import NotAUnit, NotWContact, WrongKind
 from .poly import Poly, PolyRing
 from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
-                     truncate_poly, weierstrass_prepare_x)
+                     truncate_poly, truncated_product,
+                     weierstrass_prepare_x)
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def to_normal_form(F: ContactFamily,
     # the inverse expands only in the variables g involves; truncate there
     small = F.g.variables_used()
     ginv = series_invert(TruncatedSeries(F.g, truncation, small))
-    E = truncate_poly(F.E * ginv.body, small, truncation)
+    E = truncated_product(F.E, ginv.body, small, truncation)
     return ContactFamily(E, F.params, "contact", F.x, F.y, F.w,
                          truncation=truncation)
 

@@ -199,6 +199,18 @@ def _get_family(ctx, name):
     return ctx.families[name]
 
 
+def _get_chart(ctx, name) -> GroebnerStratumChart:
+    if name not in ctx.charts:
+        raise JobError(f"unknown chart {name!r}")
+    return ctx.charts[name]
+
+
+def _get_poly(ctx, name) -> Poly:
+    if name not in ctx.polys:
+        raise JobError(f"unknown polynomial {name!r}")
+    return ctx.polys[name]
+
+
 def _get_gens(ctx, name) -> List[Poly]:
     if name in ctx.ideals:
         return ctx.ideals[name]
@@ -213,7 +225,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
              ) -> Dict[str, Any]:
     order = None
     if op == "chart":
-        ch = ctx.charts[args[0]]
+        ch = _get_chart(ctx, args[0])
         return {
             "staircase": [str(ch.ring.monomial(ch._embed(m)))
                           for m in ch.staircase],
@@ -225,7 +237,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
         }
     if op == "hilb-eq":
         F = _get_family(ctx, args[0])
-        ch = ctx.charts[args[1]]
+        ch = _get_chart(ctx, args[1])
         rel = relative_hilb_equations(F, ch)
         return {
             "equations": [poly_json(q) for q in rel.equations],
@@ -298,7 +310,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
         }
     if op == "lift-equiv":
         F = _get_family(ctx, args[0])
-        ch = ctx.charts[args[1]]
+        ch = _get_chart(ctx, args[1])
         rep = lift_chart_equivalence(F, ch)
         return {
             "termwise_equal": rep.termwise_equal,
@@ -355,7 +367,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
                 "quotient_basis": [str(I.ring.monomial(b))
                                    for b in I.quotient_basis]}
     if op in ("milnor", "tjurina", "delta-inv"):
-        p = ctx.polys[args[0]]
+        p = _get_poly(ctx, args[0])
         if op == "milnor":
             return {"milnor": milnor_number(p, (ctx.vars[0], ctx.vars[1]))}
         if op == "tjurina":
@@ -371,7 +383,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
         G = gb_buchberger(gens, order)
         return {"generators": [poly_json(g, order) for g in G]}
     if op == "nf":
-        p = ctx.polys[args[0]]
+        p = _get_poly(ctx, args[0])
         gens = _get_gens(ctx, args[1])
         order = TermOrder.parse(" ".join(args[2:])) if len(args) > 2 \
             else TermOrder.degrevlex(gens[0].ring.variables)

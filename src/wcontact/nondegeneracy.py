@@ -19,7 +19,7 @@ from .families import ContactFamily, to_normal_form
 from .linalg import MatrixQ
 from .poly import Exponents, Poly, poly_str
 from .series import (DEFAULT_TRUNCATION, LocalIdeal, TruncatedSeries,
-                     series_invert, truncate_poly)
+                     series_invert, truncated_product)
 
 
 @dataclass
@@ -89,7 +89,7 @@ def phi_map(F: ContactFamily, I: LocalIdeal,
         dg = F.g.partial(p).subs(zero)
         # quotient rule at lambda = 0
         num = df * g0 - f0 * dg
-        columns.append(truncate_poly(num * inv_g0_sq.body, geo, N))
+        columns.append(truncated_product(num, inv_g0_sq.body, geo, N))
     labels = [f"d/d{p}" for p in F.params]
     return PhiReport.from_matrix(_quotient_matrix(columns, labels, I))
 

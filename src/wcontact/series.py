@@ -9,6 +9,7 @@ operation explicitly declares them truncatable).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,29 @@ def truncate_poly(p: Poly, var_names: Sequence[str], N: int) -> Poly:
     idx = [p.ring.index(v) for v in var_names]
     terms = {e: c for e, c in p.terms.items() if sum(e[i] for i in idx) <= N}
     return Poly(p.ring, terms)
+
+
+def truncated_product(a: Poly, b: Poly, var_names: Sequence[str],
+                      N: int) -> Poly:
+    """``truncate_poly(a * b, var_names, N)`` without forming any term pair
+    whose degree in the given variables exceeds N."""
+    if a.ring != b.ring:
+        raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
+    idx = [a.ring.index(v) for v in var_names]
+    # b's terms in ascending degree, so each term of a pairs with a prefix
+    graded = sorted((sum(e[i] for i in idx), e, c) for e, c in b.terms.items())
+    degrees = [d for d, _, _ in graded]
+    terms: Dict[Exponents, Fraction] = {}
+    for e1, c1 in a.terms.items():
+        cut = bisect_right(degrees, N - sum(e1[i] for i in idx))
+        for _, e2, c2 in graded[:cut]:
+            e = tuple(map(int.__add__, e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return Poly(a.ring, terms)
 
 
 class TruncatedSeries:
@@ -56,10 +80,15 @@ class TruncatedSeries:
         n, small = self._join(other)
         return TruncatedSeries(self.body + other.body, n, small)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         n, small = self._join(other)
         return TruncatedSeries(self.body - other.body, n, small)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __neg__(self):
         return TruncatedSeries(-self.body, self.order, self.small)
@@ -67,7 +96,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         n, small = self._join(other)
-        return TruncatedSeries(self.body * other.body, n, small)
+        return TruncatedSeries(
+            truncated_product(self.body, other.body, small, n), n, small)
 
     __rmul__ = __mul__
 
@@ -101,17 +131,14 @@ def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     c = const_part.constant_term()
     if c == 0:
         raise NotAUnit("constant term vanishes")
-    v = TruncatedSeries((u.body - const_part) * (Fraction(1) / c),
-                        u.order, u.small)
-    # 1/u = (1/c) * (1 - v + v^2 - ...) up to the truncation order
-    acc = TruncatedSeries(ring.one(), u.order, u.small)
-    power = TruncatedSeries(ring.one(), u.order, u.small)
-    for i in range(1, u.order + 1):
-        power = power * v
-        if power.is_zero():
-            break
-        acc = acc + power if i % 2 == 0 else acc - power
-    return TruncatedSeries(acc.body * (Fraction(1) / c), u.order, u.small)
+    # Newton: if 1 - u*v lies in m^k, then 1 - u*v*(2 - u*v) = (1 - u*v)^2
+    # lies in m^(2k); v = 1/c is exact modulo m
+    v = TruncatedSeries(ring.const(Fraction(1) / c), 0, u.small)
+    while v.order < u.order:
+        n = min(2 * v.order + 1, u.order)
+        v = TruncatedSeries(v.body, n, u.small)
+        v = v * (2 - TruncatedSeries(u.body, n, u.small) * v)
+    return v
 
 
 def _x_split(p: Poly, xi: int, w: int) -> Tuple[Poly, Poly]:
@@ -254,20 +281,15 @@ class LocalIdeal:
 
         # span of the image of the ideal in Q[vars]/m^(N+1)
         monomials = _monomials_up_to(nv, N)
+        # (multiplying by a monomial is injective, so no terms collide)
         rows = []
         for g in gens:
             gmin = min(deg(e) for e in g)
             for m in monomials:
-                if deg(m) + gmin > N:
-                    continue
-                row: Dict[Exponents, Fraction] = {}
-                for e, c in g.items():
-                    me = mono_mul(m, e)
-                    if deg(me) <= N:
-                        row[me] = row.get(me, 0) + c
-                row = {e: c for e, c in row.items() if c}
-                if row:
-                    rows.append(row)
+                dm = deg(m)
+                if dm + gmin <= N:
+                    rows.append({mono_mul(m, e): c for e, c in g.items()
+                                 if dm + deg(e) <= N})
 
         pivots = _linear_ref(rows, key)
         # smallest j such that every degree-j monomial is a pivot: its tail
@@ -347,37 +369,47 @@ def _monomials_up_to(nvars: int, N: int) -> List[Exponents]:
 
 def _linear_ref(rows: List[Dict[Exponents, Fraction]], key
                 ) -> Dict[Exponents, Dict[Exponents, Fraction]]:
-    """Sparse reduced row echelon form; returns lead -> monic reduced row."""
+    """Sparse fully reduced row echelon form: lead -> monic row in which no
+    other lead occurs.  Inserts pivots in the order their leads appear."""
     pivots: Dict[Exponents, Dict[Exponents, Fraction]] = {}
+    # column index: monomial -> leads of the pivots whose tail contains it
+    tails: Dict[Exponents, set] = {}
     for row in rows:
         row = dict(row)
-        while row:
-            lead = max(row, key=key)
-            prow = pivots.get(lead)
-            if prow is None:
-                break
-            f = row[lead]
-            for e, c in prow.items():
+        # a reduced pivot adds no lead to the row, so each lead in the row is
+        # eliminated once and in any order
+        for lead in [e for e in row if e in pivots]:
+            f = row.pop(lead)
+            for e, c in pivots[lead].items():
+                if e == lead:
+                    continue
                 s = row.get(e, 0) - f * c
                 if s:
                     row[e] = s
                 else:
-                    row.pop(e, None)
+                    del row[e]
         if not row:
             continue
         lead = max(row, key=key)
         lc = row[lead]
         row = {e: c / lc for e, c in row.items()}
-        # back-substitute into existing rows
-        for plead, prow in pivots.items():
-            f = prow.get(lead)
-            if f:
-                for e, c in row.items():
-                    s = prow.get(e, 0) - f * c
-                    if s:
-                        prow[e] = s
-                    else:
-                        prow.pop(e, None)
+        # back-substitute into the pivots whose tail holds the new lead
+        for plead in tails.pop(lead, ()):
+            prow = pivots[plead]
+            f = prow[lead]
+            for e, c in row.items():
+                s = prow.get(e, 0) - f * c
+                if s:
+                    if e not in prow:
+                        tails.setdefault(e, set()).add(plead)
+                    prow[e] = s
+                else:
+                    del prow[e]
+                    if e != lead:
+                        tails[e].discard(plead)
+        for e in row:
+            if e != lead:
+                tails.setdefault(e, set()).add(lead)
         pivots[lead] = row
     return pivots
 

@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from wcontact.charts import (GroebnerStratumChart, lift_chart_equivalence,
                              relative_hilb_equations,
                              verify_membership_equivalence)
@@ -19,6 +21,7 @@ from wcontact.geometry import (AffineScheme, singular_locus_ideal,
 from wcontact.groebner import (gb_buchberger, normal_form, s_polynomial,
                                standard_monomials)
 from wcontact.nondegeneracy import check_condition_star, phi_map
+from wcontact.errors import NotIsolated
 from wcontact.poly import Poly, PolyRing, TermOrder
 from wcontact.series import (LocalIdeal, delta_invariant, local_colength,
                              milnor_number, tjurina_number)
@@ -238,3 +241,13 @@ def test_9_engine_soundness():
         G = gb_buchberger(gens, TermOrder.degrevlex(("x", "y")))
         assert standard_monomials(G).dimension == expected
     assert time.monotonic() - t0 < 300.0
+
+
+def test_10_not_isolated_is_bounded():
+    """x*y*s is singular along three lines: the colength certification runs
+    to its cap and ends in NotIsolated within ten seconds."""
+    t0 = time.monotonic()
+    ring = PolyRing(("x", "y", "s"))
+    with pytest.raises(NotIsolated):
+        tjurina_number(ring.parse("x*y*s"), ("x", "y", "s"))
+    assert time.monotonic() - t0 < 10.0

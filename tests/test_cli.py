@@ -306,6 +306,21 @@ class TestJobs:
         VALIDATOR.validate(data)
         assert data["seed"] == 99
 
+    @pytest.mark.parametrize("task,message", [
+        ("hilb-eq F Nope", "unknown chart 'Nope'"),
+        ("milnor Nope", "unknown polynomial 'Nope'"),
+    ])
+    def test_unknown_name_fails_the_task(self, task, message, tmp_path):
+        job = tmp_path / "u.job"
+        job.write_text(SMALL_JOB + f"task bad = {task}\n")
+        out = tmp_path / "r.json"
+        assert main(["run", str(job), "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        assert data["failed_tasks"] == 1
+        assert data["tasks"]["bad"]["error"] == {"type": "JobError",
+                                                 "message": message}
+
     def test_cli_run_failure_exit_code(self, tmp_path):
         job = tmp_path / "f.job"
         job.write_text(SMALL_JOB + "poly P = y^2\ntask bad = milnor P\n")

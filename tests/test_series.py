@@ -13,7 +13,7 @@ from wcontact.poly import Poly, PolyRing
 from wcontact.series import (DEFAULT_TRUNCATION, LocalIdeal, TruncatedSeries,
                              delta_invariant, local_colength, milnor_number,
                              series_invert, tjurina_number, truncate_poly,
-                             weierstrass_prepare_x)
+                             truncated_product, weierstrass_prepare_x)
 
 R = PolyRing(("x", "y"))
 x, y = R.var("x"), R.var("y")
@@ -50,6 +50,106 @@ class TestInversion:
     def test_non_unit_rejected(self):
         with pytest.raises(NotAUnit):
             series_invert(TruncatedSeries(x, 4, ("x", "y")))
+
+
+def _random_poly(rng, ring, nterms, max_exp=4, const=None):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, max_exp) for _ in ring.variables)
+        terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if const is not None:
+        terms[(0,) * ring.nvars] = Fraction(const)
+    return Poly(ring, {e: c for e, c in terms.items() if c})
+
+
+def _geometric_inverse(u):
+    """1/u = (1/c)(1 - v + v^2 - ...) with v = (u - c)/c, from the full
+    products truncated afterwards."""
+    ring = u.body.ring
+    c = u.body.constant_term()
+    v = truncate_poly((u.body - c) * (Fraction(1) / c), u.small, u.order)
+    acc, power = ring.one(), ring.one()
+    for i in range(1, u.order + 1):
+        power = truncate_poly(power * v, u.small, u.order)
+        acc = acc + power if i % 2 == 0 else acc - power
+    return acc * (Fraction(1) / c)
+
+
+VARIABLE_SETS = [("x", "y"), ("x", "y", "s"), ("x", "y", "s", "t")]
+
+
+class TestTruncatedProduct:
+    @pytest.mark.parametrize("names", VARIABLE_SETS)
+    def test_equals_truncated_full_product(self, names):
+        rng = random.Random(len(names))
+        ring = PolyRing(names)
+        for _ in range(40):
+            a = _random_poly(rng, ring, rng.randint(0, 8))
+            b = _random_poly(rng, ring, rng.randint(0, 8))
+            # every nonempty prefix: the rest of the variables stay exact
+            small = names[:rng.randint(1, len(names))]
+            N = rng.randint(0, 9)
+            assert truncated_product(a, b, small, N) == \
+                truncate_poly(a * b, small, N)
+
+    def test_series_product_uses_the_smaller_order(self):
+        u = TruncatedSeries(1 + x + y, 5, ("x", "y"))
+        v = TruncatedSeries(1 - x * y, 2, ("x", "y"))
+        prod = u * v
+        assert prod.order == 2
+        assert prod.body == truncate_poly((1 + x + y) * (1 - x * y),
+                                          ("x", "y"), 2)
+
+    def test_ring_mismatch(self):
+        with pytest.raises(ValueError):
+            truncated_product(x, PolyRing(("s",)).var("s"), ("x",), 3)
+
+
+class TestNewtonInverse:
+    @pytest.mark.parametrize("names", VARIABLE_SETS)
+    def test_matches_geometric_series(self, names):
+        rng = random.Random(100 + len(names))
+        ring = PolyRing(names)
+        for _ in range(15):
+            c = rng.choice([1, -2, Fraction(3, 5)])
+            small = names[:rng.randint(1, len(names))]
+            body = _random_poly(rng, ring, rng.randint(0, 6), 3, const=0)
+            # terms free of the truncated variables would not be a unit
+            body = Poly(ring, {e: k for e, k in body.terms.items()
+                               if any(e[ring.index(v)] for v in small)}) + c
+            N = rng.randint(0, 8)
+            u = TruncatedSeries(body, N, small)
+            inv = series_invert(u)
+            assert inv.order == N
+            assert inv.body == _geometric_inverse(u)
+            assert (u * inv).body == ring.one()
+
+    def test_vanishing_constant_term(self):
+        with pytest.raises(NotAUnit, match="constant term vanishes"):
+            series_invert(TruncatedSeries(x + y**2, 5, ("x", "y")))
+
+    def test_non_constant_constant_part(self):
+        ring = PolyRing(("x", "y", "s"))
+        u = TruncatedSeries(ring.parse("1 + s + x"), 4, ("x", "y"))
+        with pytest.raises(NotAUnit, match="non-truncated"):
+            series_invert(u)
+
+
+class TestReflectedOperators:
+    def test_radd(self):
+        s = TruncatedSeries(x + y**3, 2, ("x", "y"))
+        got = 2 + s
+        assert isinstance(got, TruncatedSeries)
+        assert got.body == 2 + x
+        assert got == s + 2
+
+    def test_rsub(self):
+        s = TruncatedSeries(x + y**3, 2, ("x", "y"))
+        got = 2 - s
+        assert isinstance(got, TruncatedSeries)
+        assert got.order == 2
+        assert got.body == 2 - x
+        assert got == -(s - 2)
 
 
 class TestWeierstrass:
@@ -141,6 +241,37 @@ class TestColength:
         assert I.contains(y**2 + x**4)
         assert not I.contains(x)
         assert I.reduce_to_poly(x**2 + x + 3) == x + 3
+
+    def test_reduce_leaves_no_pivot_in_a_tail(self):
+        # x^2 = (y^3 + x^2 + 2y^2) - (2 + y) * y^2 lies in I
+        I = LocalIdeal([-x**3 * y**2 + x**2 * y**3, y**2 / 2,
+                        y**3 + x**2 + 2 * y**2], ("x", "y")).certify()
+        assert I.colength == 4
+        assert I.contains(x**2)
+        assert I.reduce(x**2) == {}
+
+    def test_reduce_lands_in_the_quotient_basis(self):
+        rng = random.Random(400)
+        certified = 0
+        for _ in range(150):
+            gens = [_random_poly(rng, R, rng.randint(1, 3), 3, const=0)
+                    for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            try:
+                I = LocalIdeal(gens, ("x", "y"), truncation=8,
+                               cap=16).certify()
+            except CertificationFailed:
+                continue
+            certified += 1
+            basis = set(I.quotient_basis)
+            for _ in range(5):
+                p = _random_poly(rng, R, rng.randint(1, 5))
+                red = I.reduce(p)
+                assert set(red) <= basis
+                assert I.reduce(I.reduce_to_poly(p)) == red
+        assert certified >= 20
 
     def test_against_dense_oracle(self):
         cases = [
