@@ -61,6 +61,10 @@ class E0NotInIdeal(WContactError):
     """The central equation does not belong to the ideal defining the subscheme."""
 
 
+class SamplingFailed(WContactError):
+    """Random sampling found too few admissible parameter points."""
+
+
 class PointNotOnScheme(WContactError):
     pass
 

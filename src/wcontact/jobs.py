@@ -14,8 +14,9 @@ Grammar (one directive per line, '#' starts a comment):
     chart NAME = staircase expr, expr order ORDER [names a,b,c]
     task NAME = OP arg ...
 
-Every name must be defined on an earlier line than any reference to it, which
-is validated before any task runs.
+Every name must be defined on an earlier line than any reference to it, and
+each task needs the arguments its operation reads; both are validated before
+any task runs.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def parse_job(text: str) -> JobContext:
             continue
         try:
             _parse_line(ctx, line)
+        except JobError as exc:
+            raise JobError(f"line {lineno}: {exc}") from exc
         except WContactError:
             raise
         except Exception as exc:
@@ -136,9 +139,48 @@ def _parse_line(ctx: JobContext, line: str):
             ctx.charts[name] = _parse_chart(ctx, body)
         else:
             op, *args = body.split()
+            _check_task_args(op, args)
             ctx.tasks.append((name, op, args))
     else:
         raise JobError(f"unknown directive {head!r}")
+
+
+# the number of arguments each task operation reads by position, and the
+# keyword whose next argument it reads as an integer ('codim' has no default)
+_TASK_ARITY = {
+    "chart": 1, "hilb-eq": 2, "phi": 2, "delta": 2, "psi": 2, "star": 2,
+    "relaxed": 2, "lift": 2, "lift-prime": 2, "verify-corr": 2,
+    "lift-equiv": 2, "sing": 1, "variety-eq": 2, "nested": 2, "colength": 1,
+    "milnor": 1, "tjurina": 1, "delta-inv": 2, "gb": 1, "nf": 2,
+}
+_TASK_INT_KEYWORD = {"verify-corr": "samples", "sing": "codim",
+                     "nested": "codim"}
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_task_args(op: str, args: List[str]):
+    """Reject a task whose arguments run_task cannot read; an unknown
+    operation is left to fail its own task."""
+    need = _TASK_ARITY.get(op, 0)
+    if len(args) < need:
+        raise JobError(f"task {op!r} needs {need} argument(s), "
+                       f"got {len(args)}")
+    keyword = _TASK_INT_KEYWORD.get(op)
+    if keyword in args:
+        i = args.index(keyword) + 1
+        if i == len(args) or not _is_int(args[i]):
+            raise JobError(f"task {op!r}: {keyword!r} needs an integer")
+    elif keyword == "codim":
+        raise JobError(f"task {op!r} needs 'codim N'")
+    if op == "delta-inv" and not _is_int(args[1]):
+        raise JobError(f"task {op!r}: the branch count must be an integer")
 
 
 def _parse_chart(ctx: JobContext, body: str) -> GroebnerStratumChart:

@@ -249,33 +249,44 @@ class Poly:
         return Poly(ring, terms)
 
     def subs(self, assignments: Dict[str, "Poly | int | Fraction"]) -> "Poly":
-        """Substitute polynomials (or constants) for variables."""
+        """Substitute polynomials (or constants) for variables.
+
+        A constant folds into each term's coefficient; a polynomial product
+        is formed only for the variables assigned a Poly."""
         ring = self.ring
-        values: Dict[int, Poly] = {}
+        values: Dict[int, "Poly | Fraction"] = {}
         for name, val in assignments.items():
             i = ring.index(name)
-            values[i] = val if isinstance(val, Poly) else ring.const(val)
             if isinstance(val, Poly) and val.ring != ring:
                 raise ValueError("substitution value lives in a different ring")
-        result = ring.zero()
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
+            values[i] = val if isinstance(val, Poly) else Fraction(val)
+        pow_cache: Dict[Tuple[int, int], "Poly | Fraction"] = {}
+        terms: Dict[Exponents, Fraction] = {}
         for e, c in self.terms.items():
-            term = ring.const(c)
-            rest = [0] * ring.nvars
-            for i, k in enumerate(e):
+            rest = list(e)
+            factor = None
+            for i, v in values.items():
+                k = e[i]
                 if not k:
                     continue
-                if i in values:
-                    key = (i, k)
-                    if key not in pow_cache:
-                        pow_cache[key] = values[i] ** k
-                    term = term * pow_cache[key]
+                rest[i] = 0
+                p = pow_cache.get((i, k))
+                if p is None:
+                    p = pow_cache[i, k] = v ** k
+                if isinstance(p, Poly):
+                    factor = p if factor is None else factor * p
                 else:
-                    rest[i] = k
-            if any(rest):
-                term = term * ring.monomial(tuple(rest))
-            result = result + term
-        return result
+                    c *= p
+            if not c:
+                continue
+            rest = tuple(rest)
+            if factor is None:
+                terms[rest] = terms.get(rest, 0) + c
+                continue
+            for fe, fc in factor.terms.items():
+                ne = tuple(map(int.__add__, fe, rest))
+                terms[ne] = terms.get(ne, 0) + c * fc
+        return Poly(ring, {e: c for e, c in terms.items() if c})
 
     def eval(self, point: Dict[str, "int | Fraction"]) -> Fraction:
         """Evaluate at a rational point assigning every used variable."""

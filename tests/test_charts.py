@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wcontact import charts
 from wcontact.charts import (GroebnerStratumChart, an_surface, generic_chart,
                              ideal_equal_localized, lift_chart_equivalence,
                              lift_contact, lift_interior, lift_L, lift_Lprime,
@@ -14,7 +15,8 @@ from wcontact.charts import (GroebnerStratumChart, an_surface, generic_chart,
                              verify_membership_equivalence)
 from wcontact.errors import InfiniteColength, WrongKind
 from wcontact.families import ContactFamily, multiply_unit
-from wcontact.groebner import gb_buchberger, normal_form, standard_monomials
+from wcontact.groebner import (GroebnerBasis, gb_buchberger, normal_form,
+                              standard_monomials)
 from wcontact.poly import Poly, PolyRing, TermOrder
 
 GEO = PolyRing(("x", "y"))
@@ -253,8 +255,9 @@ class TestMembershipCorrespondence:
         assert report.kind == "contact" and report.w == 4
         assert len(report.samples) == 10
         assert report.counterexamples == []
-        # both truth values occur across the samples
-        assert any(s.curve_membership for s in report.samples) or True
+        # every term of E lies in <y, x^2> whatever s and t are
+        assert all(s.curve_membership and s.surface_membership
+                   for s in report.samples)
         assert all(s.elimination_ok for s in report.samples)
 
     def test_interior_equivalence(self):
@@ -307,6 +310,126 @@ class TestMembershipCorrespondence:
             report = verify_membership_equivalence(
                 G, [RST.parse("y"), RST.parse("x^2")], samples=4, seed=5)
             assert report.ok
+
+
+def four_basis_oracle(F, ideal_gens, samples, seed):
+    """The correspondence check with a degrevlex basis of the lift for
+    surface membership and a second Buchberger run on the z-free part of the
+    lex basis for the elimination check: four bases per sample."""
+    rng = random.Random(seed)
+    ring_all = F.E.ring
+    for p in ideal_gens:
+        ring_all = ring_all.extend(p.ring.variables)
+    free_params = tuple(v for v in ring_all.variables
+                        if v not in (F.x, F.y, "z"))
+    geo_ring = PolyRing((F.x, F.y))
+    z_ring = PolyRing((F.x, F.y, "z"))
+    geo_order = TermOrder.degrevlex(geo_ring.variables)
+    z_order = TermOrder.degrevlex(z_ring.variables)
+    elim_order = TermOrder.lex(("z", F.x, F.y))
+    target = (an_surface(F.w - 1, z_ring) if F.kind == "contact"
+              else z_ring.var("z"))
+    results, rejected = [], 0
+    while len(results) < samples:
+        point = {v: Fraction(rng.randint(-7, 7), rng.randint(1, 7))
+                 for v in free_params}
+
+        def spec(p, ring):
+            return p.map_to(ring_all).subs(point).map_to(ring)
+
+        E_spec = spec(F.E, geo_ring)
+        gens_spec = [g for g in (spec(g, geo_ring) for g in ideal_gens)
+                     if not g.is_zero()]
+        if not gens_spec:
+            rejected += 1
+            continue
+        if F.kind == "contact":
+            g_spec = spec(F.g, geo_ring)
+            if g_spec.is_zero() or (not g_spec.is_constant() and not
+                                    gb_buchberger(gens_spec + [g_spec],
+                                                  geo_order).is_unit_ideal()):
+                rejected += 1
+                continue
+            graph = spec(F.f, z_ring) - z_ring.var("z") * spec(F.g, z_ring)
+        else:
+            graph = z_ring.var("z") - E_spec.map_to(z_ring)
+        curve_gb = gb_buchberger(gens_spec, geo_order)
+        in_curve = normal_form(E_spec, curve_gb).is_zero()
+        lifted = [g.map_to(z_ring) for g in gens_spec] + [graph]
+        lift_gb = gb_buchberger(lifted, z_order)
+        in_surface = normal_form(target, lift_gb).is_zero()
+        lex_gb = gb_buchberger(lifted, elim_order)
+        low = [g.map_to(geo_ring) for g in lex_gb
+               if all(e[2] == 0 for e in g.terms)]
+        elim_ok = bool(low) and all(normal_form(g, curve_gb).is_zero()
+                                    for g in low)
+        if elim_ok:
+            low_gb = gb_buchberger(low, geo_order)
+            elim_ok = all(normal_form(g, low_gb).is_zero() for g in gens_spec)
+        results.append(({k: str(v) for k, v in sorted(point.items())},
+                        in_curve, in_surface, in_curve == in_surface,
+                        elim_ok))
+    return results, rejected
+
+
+SAMPLED_FAMILIES = [
+    ContactFamily.contact(RST.parse(f"(y^2+x^{w}) + s*x*(y+x^{w - 1})"
+                                    f" + t*(y+x^{w})"), ("s", "t"))
+    for w in (2, 3, 4)
+] + [
+    ContactFamily.interior(RST.parse("y^2 + x^3 + s*y + t*x^2"), ("s", "t")),
+    ContactFamily.interior(RST.parse("x*y + s*x^3 + t*y^2"), ("s", "t")),
+]
+SAMPLED_IDEALS = [
+    [GEO.parse("y"), GEO.parse("x^2")],
+    [GEO.parse("x"), GEO.parse("y")],
+    [GEO.parse("y - x^2"), GEO.parse("x^3")],
+]
+
+
+class TestOneLexBasis:
+    """The two-basis correspondence check against the four-basis one."""
+
+    def test_reports_match_four_basis_oracle(self):
+        ideals = SAMPLED_IDEALS + [chart_yx2().generic_generators]
+        seen_curve = set()
+        for fi, F in enumerate(SAMPLED_FAMILIES):
+            for ii, gens in enumerate(ideals):
+                seed = 1000 * fi + ii
+                report = verify_membership_equivalence(F, gens, samples=3,
+                                                       seed=seed)
+                want, rejected = four_basis_oracle(F, gens, 3, seed)
+                got = [(s.point, s.curve_membership, s.surface_membership,
+                        s.equivalent, s.elimination_ok)
+                       for s in report.samples]
+                assert got == want, (F.E, gens)
+                assert report.rejected == rejected
+                seen_curve |= {s.curve_membership for s in report.samples}
+        assert seen_curve == {True, False}
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    @pytest.mark.parametrize("family", [0, 3], ids=["contact", "interior"])
+    def test_dropped_elimination_element_is_caught(self, monkeypatch, drop,
+                                                   family):
+        # negative control: a lex basis missing one z-free element no longer
+        # generates the elimination ideal, and the check must say so
+        real = charts.gb_buchberger
+
+        def tampered(gens, order, **kw):
+            G = real(gens, order, **kw)
+            if order.kind != "lex":
+                return G
+            zi = G.ring.index("z")
+            low = [g for g in G if all(e[zi] == 0 for e in g.terms)]
+            assert len(low) >= 2
+            kept = [g for g in G if g is not low[drop]]
+            return GroebnerBasis(kept, G.order, True)
+
+        monkeypatch.setattr(charts, "gb_buchberger", tampered)
+        report = verify_membership_equivalence(
+            SAMPLED_FAMILIES[family], SAMPLED_IDEALS[0], samples=4, seed=5)
+        assert not any(s.elimination_ok for s in report.samples)
+        assert not report.ok
 
 
 class TestLocalizedEquality:

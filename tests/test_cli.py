@@ -321,6 +321,44 @@ class TestJobs:
         assert data["tasks"]["bad"]["error"] == {"type": "JobError",
                                                  "message": message}
 
+    @pytest.mark.parametrize("task,message", [
+        ("chart", "task 'chart' needs 1 argument(s), got 0"),
+        ("verify-corr F I samples",
+         "task 'verify-corr': 'samples' needs an integer"),
+        ("verify-corr F I samples abc",
+         "task 'verify-corr': 'samples' needs an integer"),
+        ("sing I", "task 'sing' needs 'codim N'"),
+        ("nested I I codim x", "task 'nested': 'codim' needs an integer"),
+        ("delta-inv P q",
+         "task 'delta-inv': the branch count must be an integer"),
+    ], ids=["chart-no-args", "samples-no-count", "samples-not-int",
+            "sing-no-codim", "codim-not-int", "branches-not-int"])
+    def test_bad_task_arguments_rejected_before_running(
+            self, task, message, tmp_path, capsys):
+        job = tmp_path / "a.job"
+        job.write_text(SMALL_JOB + f"task a = {task}\n")
+        line = SMALL_JOB.count("\n") + 1
+        out = tmp_path / "r.json"
+        assert main(["run", str(job), "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        # the whole job is refused: no task ran, so there is no task report
+        assert data == {"error": {"type": "JobError",
+                                  "message": f"line {line}: {message}"}}
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sampling_failure_fails_the_task(self, tmp_path, capsys):
+        job = tmp_path / "z.job"
+        job.write_text(SMALL_JOB + "ideal Z = 0\n"
+                                   "task a = verify-corr F Z samples 3\n")
+        out = tmp_path / "r.json"
+        assert main(["run", str(job), "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        assert data["failed_tasks"] == 1
+        assert data["tasks"]["a"]["error"]["type"] == "SamplingFailed"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_cli_run_failure_exit_code(self, tmp_path):
         job = tmp_path / "f.job"
         job.write_text(SMALL_JOB + "poly P = y^2\ntask bad = milnor P\n")

@@ -182,3 +182,68 @@ class TestAlgebraProperties:
     def test_print_parse_involutive(self, a):
         p = make_poly(a)
         assert R.parse(poly_str(p)) == p
+
+
+def subs_oracle(p, assignments):
+    """Term-by-term substitution through Poly products, one per factor."""
+    ring = p.ring
+    values = {ring.index(n): v if isinstance(v, Poly) else ring.const(v)
+              for n, v in assignments.items()}
+    result = ring.zero()
+    for e, c in p.terms.items():
+        term = ring.const(c)
+        rest = [0] * ring.nvars
+        for i, k in enumerate(e):
+            if i in values:
+                term = term * values[i] ** k
+            else:
+                rest[i] = k
+        result = result + term * ring.monomial(tuple(rest))
+    return result
+
+
+class TestSubstitution:
+    R4 = PolyRing(("x", "y", "s", "t"))
+
+    def random_poly(self, rng, nterms, maxdeg=3):
+        terms = {}
+        for _ in range(nterms):
+            e = tuple(rng.randint(0, maxdeg) for _ in range(self.R4.nvars))
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-5, 5),
+                                                  rng.randint(1, 4))
+        return Poly(self.R4, {e: c for e, c in terms.items() if c})
+
+    def random_value(self, rng, name):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if kind == 2:       # refers to the variable it replaces: x -> x + y
+            return self.R4.var(name) + self.random_poly(rng, 2, 1)
+        return self.random_poly(rng, rng.randint(0, 3), 2)
+
+    def test_matches_term_by_term_products(self):
+        rng = random.Random(2024)
+        names = self.R4.variables
+        for _ in range(300):
+            p = self.random_poly(rng, rng.randint(0, 8))
+            chosen = rng.sample(names, rng.randint(0, len(names)))
+            assignments = {n: self.random_value(rng, n) for n in chosen}
+            got = p.subs(assignments)
+            assert got == subs_oracle(p, assignments), (p, assignments)
+            assert all(got.terms.values())
+
+    def test_constants_zeros_and_unused_variables(self):
+        p = self.R4.parse("x^2*s - 3*y*t + 1/2")
+        assert p.subs({"s": 0, "t": Fraction(1, 3)}) \
+            == self.R4.parse("-y + 1/2")
+        q = self.R4.parse("x^2*s - 3*y + 1/2")
+        assert q.subs({"t": 5}) == q        # t does not occur in q
+        assert q.subs({}) == q
+
+    def test_value_from_another_ring_rejected(self):
+        with pytest.raises(ValueError):
+            (x + y).subs({"x": PolyRing(("x", "y", "z")).var("z")})
+        with pytest.raises(UnknownVariable):
+            (x + y).subs({"z": 1})
