@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InfiniteColength, NotAUnit, SamplingFailed, WrongKind
+from .errors import NotAUnit, SamplingFailed, WrongKind
 from .families import ContactFamily
-from .groebner import GroebnerBasis, gb_buchberger, normal_form
+from .groebner import (GroebnerBasis, gb_buchberger, normal_form,
+                       staircase_complement)
 from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
                    mono_divides, mono_lcm, mono_mul)
 
@@ -23,29 +24,6 @@ def _minimal_monomial_generators(monos: Sequence[Exponents]) -> List[Exponents]:
         if m not in out:
             out.append(m)
     return out
-
-
-def _staircase_complement(gens: Sequence[Exponents], nvars: int,
-                          limit: int = 10_000) -> List[Exponents]:
-    for i in range(nvars):
-        if not any(all(k == 0 or j == i for j, k in enumerate(g)) and g[i] > 0
-                   for g in gens):
-            raise InfiniteColength("staircase complement is unbounded")
-    zero = (0,) * nvars
-    found, frontier, seen = [], [zero], {zero}
-    while frontier:
-        e = frontier.pop()
-        if any(mono_divides(g, e) for g in gens):
-            continue
-        found.append(e)
-        if len(found) > limit:
-            raise InfiniteColength(f"more than {limit} standard monomials")
-        for i in range(nvars):
-            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
-            if ne not in seen:
-                seen.add(ne)
-                frontier.append(ne)
-    return found
 
 
 class GroebnerStratumChart:
@@ -80,7 +58,7 @@ class GroebnerStratumChart:
         key = order.key_function(geo_ring)
         self.staircase.sort(key=key, reverse=True)
         self.standard_monomials = sorted(
-            _staircase_complement(self.staircase, len(geo_vars)), key=key,
+            staircase_complement(self.staircase, geo_ring), key=key,
             reverse=True)
         self.colength = len(self.standard_monomials)
 

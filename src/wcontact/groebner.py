@@ -1,98 +1,268 @@
-"""Buchberger Groebner bases, normal forms, quotient bases, membership tests."""
+"""Buchberger Groebner bases, normal forms, quotient bases, membership tests.
+
+The division kernel, ``_Reducer``, works on packed monomials: under a ring's
+term order each monomial is one Python int whose fields, read from the top,
+are a linear key of the order, each with a guard bit above it:
+
+- degrevlex: the total degree, then the partial sums e_p1 + ... + e_pk for
+  k = n-1 down to 1, where p is the variable priority;
+- lex: the exponents in priority order.
+
+While every field fits below its guard bit, comparing two ints compares the
+monomials, adding two ints multiplies them and subtracting a divisor divides,
+so one int is at once the dict key of a term, its heap entry and its cache
+key.  A carry into a guard bit means a field overflowed; the kernel then
+re-encodes with wider fields and divides again (see ``_Reducer``).  Rows are
+encoded once, when they enter a basis, and decoded once, into ``Poly``
+results; exponent tuples stay the interface of the rest of the package
+(``Poly.terms``, ``leading_monomials()``, the pair criteria).
+"""
 
 from __future__ import annotations
 
 import heapq
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InfiniteColength
 from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+                   mono_divides, mono_lcm)
 
 
 Row = Dict[Exponents, int]
+Packed = Dict[int, int]
+
+# field widths start where n fields fill 60 bits: a packed monomial then
+# stays below 2**61, where CPython hashes an int as itself
+_START_BITS = 60
+
+
+class _Overflow(Exception):
+    """A field of a packed monomial carried into its guard bit."""
+
+
+class _Encoding:
+    """Packed monomials with ``width`` value bits and a guard bit per field.
+
+    ``pack`` is the dot product of the exponents with ``weights``, exact as
+    long as every field fits in its value and guard bits.  A monomial *fits*
+    when its largest field, ``top``, is at most ``limit``; ``guard`` masks
+    the guard bits.
+    """
+
+    __slots__ = ("order", "ring", "lex", "step", "width", "limit", "guard",
+                 "weights", "shifts", "top", "_low")
+
+    def __init__(self, order: TermOrder, ring: PolyRing, width: int):
+        perm = [ring.index(v) for v in order.for_ring(ring).priority]
+        n, step = len(perm), width + 1
+        self.order = order
+        self.ring = ring
+        self.lex = order.kind == "lex"
+        self.step = step
+        self.width = width
+        self.limit = (1 << width) - 1
+        self.guard = sum(1 << (k * step + width) for k in range(n))
+        self._low = (1 << (n * step)) - 1
+        # the largest field of a monomial's encoding (with no variables,
+        # sum gives 0 where max would raise)
+        self.top = max if self.lex and n else sum
+        # the field at position k (counted from the bottom) is exponent
+        # e_p(n-1-k) under lex, and the partial sum e_p0 + ... + e_pk under
+        # degrevlex, the top one being the total degree; ``shifts`` locates
+        # each variable's exponent in ``exponent_fields``
+        self.weights = [0] * n
+        self.shifts = [0] * n
+        for j, i in enumerate(perm):
+            self.shifts[i] = (n - 1 - j if self.lex else j) * step
+            self.weights[i] = (1 << self.shifts[i] if self.lex else
+                               sum(1 << (k * step) for k in range(j, n)))
+
+    def widened(self) -> "_Encoding":
+        return _Encoding(self.order, self.ring, 2 * self.width)
+
+    def pack(self, e: Exponents) -> int:
+        return sum(map(mul, e, self.weights))
+
+    def exponent_fields(self, m: int) -> int:
+        """The int whose fields are the exponents of m: m itself under lex,
+        the differences of adjacent partial sums under degrevlex.  For
+        fitting ints l and m, l divides m iff ``exponent_fields(m) -
+        exponent_fields(l)`` has no guard bit set: a field that would go
+        negative borrows from its guard bit."""
+        return m if self.lex else m - ((m << self.step) & self._low)
+
+    def unpack(self, m: int) -> Exponents:
+        mask = (1 << self.step) - 1
+        return tuple(map(mask.__and__,
+                         map(self.exponent_fields(m).__rshift__, self.shifts)))
 
 
 class _Reducer:
-    """Integer rows with their leads, and the one fraction-free division by
-    them that Buchberger's algorithm and ``normal_form`` share.
+    """Primitive integer rows of packed monomials with their leads, and the
+    one fraction-free division by them that Buchberger's algorithm and
+    ``normal_form`` share.
 
-    Each monomial seen is cached with its heap key and its first divisor
-    among the leads, so repeated divisions do not rescan the leads; rows are
-    only ever appended to ``leads`` and ``rows``, which keeps a cached
-    divisor valid.
+    The guard-bit invariant: the leads, the rows, every cached monomial and
+    every int ``encode`` returns fit (``encode`` widens first when its input
+    would not), and so does any divisor of a fitting int.  The kernel only
+    ever adds two fitting ints.  Such a sum may carry into guard bits but
+    never past them, so it is still exact: it compares, decodes and
+    re-encodes correctly.  ``reduce`` checks every monomial it pops and has
+    not seen before for a guard bit before it uses it again; on a carry it
+    re-encodes every row and its input with fields twice as wide
+    (``_widen``) and divides again, so an overflow costs time, never an
+    answer.  A packed int held by a caller is valid until its next call of
+    ``encode`` or ``reduce``.
+
+    Each monomial seen is cached with its first divisor among the leads, so
+    repeated divisions do not rescan the leads; rows are only ever appended,
+    which keeps a cached divisor valid.
     """
 
-    __slots__ = ("key", "leads", "rows", "_seen")
+    __slots__ = ("code", "exps", "leads", "rows", "_divs", "_seen")
 
-    def __init__(self, key, leads: List[Exponents], rows: List[Row]):
-        self.key = key
-        self.leads = leads
-        self.rows = rows
-        self._seen: Dict[Exponents, list] = {}
+    def __init__(self, order: TermOrder, ring: PolyRing,
+                 rows: Sequence[Row] = ()):
+        self.code = _Encoding(order, ring,
+                              max(_START_BITS // max(ring.nvars, 1) - 1, 1))
+        self.exps: List[Exponents] = []  # the leads as exponent tuples
+        self.leads: List[int] = []
+        self.rows: List[Packed] = []
+        self._divs: List[int] = []  # exponent_fields of the leads
+        self._seen: Dict[int, list] = {}
+        for row in rows:
+            self.append(self.encode(row))
 
-    def _lookup(self, e: Exponents) -> list:
-        """[heap key, index of the first lead dividing e or -1, leads tried]."""
-        entry = self._seen.get(e)
+    def encode(self, row: Row) -> Packed:
+        top = max(map(self.code.top, row), default=0)
+        while top > self.code.limit:
+            self._widen({})
+        pack = self.code.pack
+        return {pack(e): c for e, c in row.items()}
+
+    def decode(self, row: Packed) -> Row:
+        unpack = self.code.unpack
+        return {unpack(m): c for m, c in row.items()}
+
+    def append(self, row: Packed) -> int:
+        """Enter a nonzero row; returns its index."""
+        lead = max(row)
+        self.leads.append(lead)
+        self.exps.append(self.code.unpack(lead))
+        self._divs.append(self.code.exponent_fields(lead))
+        self.rows.append(row)
+        return len(self.rows) - 1
+
+    def _widen(self, row: Packed) -> Packed:
+        """Re-encode the rows with fields twice as wide; returns ``row``
+        re-encoded too."""
+        old, new = self.code, self.code.widened()
+        self.code = new
+
+        def recode(r: Packed) -> Packed:
+            return {new.pack(old.unpack(m)): c for m, c in r.items()}
+
+        self.leads[:] = map(new.pack, self.exps)
+        self._divs[:] = map(new.exponent_fields, self.leads)
+        self.rows[:] = map(recode, self.rows)
+        self._seen.clear()
+        return recode(row)
+
+    def _lookup(self, m: int) -> list:
+        """[index of the first lead dividing m or -1, leads tried,
+        exponent_fields(m)]."""
+        entry, guard = self._seen.get(m), self.code.guard
         if entry is None:
-            # the order keys are linear in e, so this is the key negated: a
-            # min-heap pops the largest monomial first
-            entry = self._seen[e] = [self.key(tuple(map(int.__neg__, e))),
-                                     -1, 0]
-        if entry[1] < 0:
-            for k in range(entry[2], len(self.leads)):
-                if mono_divides(self.leads[k], e):
-                    entry[1] = k
+            if m & guard:
+                raise _Overflow
+            entry = self._seen[m] = [-1, 0, self.code.exponent_fields(m)]
+        if entry[0] < 0:
+            d, divs = entry[2], self._divs
+            for k in range(entry[1], len(divs)):
+                if not (d - divs[k]) & guard:
+                    entry[0] = k
                     break
-            entry[2] = len(self.leads)
+            entry[1] = len(divs)
         return entry
 
-    def reduce(self, row: Row) -> Tuple[Row, int]:
+    def s_polynomial(self, i: int, j: int, lcm: Exponents) -> Packed:
+        """(c_j/g) x^(lcm/lead_i) row_i - (c_i/g) x^(lcm/lead_j) row_j with
+        c the lead coefficients and g = gcd(c_i, c_j).
+
+        lcm/lead_i divides lead_j, so both shifts fit and every term is the
+        sum of two fitting ints, for ``reduce`` to check.
+        """
+        lcm = self.code.pack(lcm)
+        ri, rj = self.rows[i], self.rows[j]
+        ci, cj = ri[self.leads[i]], rj[self.leads[j]]
+        d = math.gcd(ci, cj)
+        sp: Packed = {}
+        for row, shift, scale in ((ri, lcm - self.leads[i], cj // d),
+                                  (rj, lcm - self.leads[j], -(ci // d))):
+            for m, c in row.items():
+                m += shift
+                sp[m] = sp.get(m, 0) + scale * c
+        return {m: c for m, c in sp.items() if c}
+
+    def reduce(self, row: Packed) -> Tuple[Packed, int]:
         """Full division of ``row``.
 
         Returns ``(r, m)`` with ``m != 0`` the product of the scalings, such
         that ``m * row - r`` lies in the ideal of the rows and no term of
         ``r`` is divisible by a lead; ``r / m`` is the exact remainder over Q.
+        ``r`` is in the encoding current at return.
         """
-        lookup = self._lookup
+        while True:
+            try:
+                return self._divide(row)
+            except _Overflow:
+                row = self._widen(row)
+
+    def _divide(self, row: Packed) -> Tuple[Packed, int]:
+        lookup, leads, rows = self._lookup, self.leads, self.rows
         remaining = dict(row)
-        out: Dict[Exponents, Tuple[int, int]] = {}
+        out: Dict[int, Tuple[int, int]] = {}
         mult = 1
-        heap = [(lookup(e)[0], e) for e in remaining]
+        # a min-heap of the negated monomials pops the largest first
+        heap = [-m for m in remaining]
         heapq.heapify(heap)
         while heap:
-            _, e = heapq.heappop(heap)
-            c = remaining.pop(e, 0)
+            m = -heapq.heappop(heap)
+            c = remaining.pop(m, 0)
             if not c:
                 continue
-            i = lookup(e)[1]
+            i = lookup(m)[0]
             if i < 0:
-                out[e] = (c, mult)  # rescaled by the later scalings at the end
+                out[m] = (c, mult)  # rescaled by the later scalings at the end
                 continue
-            lm, g = self.leads[i], self.rows[i]
+            lm, g = leads[i], rows[i]
             d = math.gcd(c, g[lm])
-            a, b = g[lm] // d, c // d
+            a, b = g[lm] // d, -(c // d)
             if a != 1:
                 mult *= a
                 for k in remaining:
                     remaining[k] *= a
-            shift = mono_div(e, lm)
-            for ge, gc in g.items():
-                if ge == lm:
+            shift = m - lm
+            for gm, gc in g.items():
+                if gm == lm:
                     continue
-                ne = tuple(map(int.__add__, ge, shift))  # mono_mul, inlined
-                s = remaining.get(ne, 0) - b * gc
-                if s:
-                    if ne not in remaining:
-                        heapq.heappush(heap, (lookup(ne)[0], ne))
-                    remaining[ne] = s
+                nm = gm + shift
+                s = remaining.get(nm)
+                if s is None:
+                    heapq.heappush(heap, -nm)
+                    remaining[nm] = b * gc
                 else:
-                    remaining.pop(ne, None)
+                    s += b * gc
+                    if s:
+                        remaining[nm] = s
+                    else:
+                        del remaining[nm]
             # terms already moved to `out` are irreducible and unaffected:
-            # the subtracted tail only introduces monomials strictly below e
-        return {e: c * (mult // m) for e, (c, m) in out.items()}, mult
+            # the subtracted tail only introduces monomials strictly below m
+        return {m: c * (mult // k) for m, (c, k) in out.items()}, mult
 
 
 class GroebnerBasis:
@@ -108,9 +278,10 @@ class GroebnerBasis:
         self.reduced = reduced
         self._ring = generators[0].ring if generators else None
         self._key = order.key_function(self._ring) if self._ring else None
-        self._leads = [_lead(g.terms, self._key) for g in generators]
-        self._reducer = _Reducer(self._key, self._leads,
-                                 [g.primitive_terms()[0] for g in generators])
+        self._reducer = _Reducer(order, self._ring,
+                                 [g.primitive_terms()[0] for g in generators]
+                                 ) if generators else None
+        self._leads = self._reducer.exps if generators else []
 
     @property
     def ring(self) -> PolyRing:
@@ -159,12 +330,13 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     if p.ring != G.ring:
         p = p.map_to(G.ring)
     row, scale = p.primitive_terms()
-    rem, mult = G._reducer.reduce(row)
+    reducer = G._reducer
+    rem, mult = reducer.reduce(reducer.encode(row))
     scale /= mult
-    return Poly(G.ring, {e: c * scale for e, c in rem.items()})
+    return Poly(G.ring, {e: c * scale for e, c in reducer.decode(rem).items()})
 
 
-def _primitive_row(row: Row, lead: Exponents) -> Row:
+def _primitive_row(row: Dict, lead) -> Dict:
     """Divide by the integer content, signed so the lead coefficient is > 0."""
     d = math.gcd(*row.values())
     if row[lead] < 0:
@@ -194,20 +366,17 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
         if g.ring != ring:
             raise ValueError("generators live in different rings")
     order = order.for_ring(ring)
-    key = order.key_function(ring)
 
-    basis = _Reducer(key, [], [])
-    leads, rows = basis.leads, basis.rows
+    basis = _Reducer(order, ring)
+    leads = basis.exps
     sugars: List[int] = []
     active: List[int] = []  # the basis elements no newer lead divides
     pairs: List[Tuple[Tuple, int, int]] = []  # heap of ((sugar, deg, lcm), i, j)
 
-    def add_row(row: Row, sugar: int) -> bool:
+    def add_row(row: Packed, sugar: int) -> bool:
         """Enter a reduced row and update the pairs; True if it is constant."""
-        lh = _lead(row, key)
-        h = len(rows)
-        leads.append(lh)
-        rows.append(_primitive_row(row, lh))
+        h = basis.append(_primitive_row(row, max(row)))
+        lh = leads[h]
         sugars.append(sugar)
         # criteria M and F, then the coprime-lead criterion, on new pairs
         cands = [(mono_lcm(leads[g], lh), g, not any(map(min, leads[g], lh)))
@@ -234,27 +403,17 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
 
     unit_found = False
     for g in gens:
-        row = basis.reduce(g.primitive_terms()[0])[0]
+        row = basis.reduce(basis.encode(g.primitive_terms()[0]))[0]
         if row and add_row(row, g.total_degree()):
             unit_found = True
             break
 
     while pairs and not unit_found:
         (_, _, lcm), i, j = heapq.heappop(pairs)
-        li, lj = leads[i], leads[j]
-        shift_i, shift_j = mono_div(lcm, li), mono_div(lcm, lj)
-        # (c_j/g) x^shift_i f_i - (c_i/g) x^shift_j f_j, g = gcd(c_i, c_j)
-        d = math.gcd(rows[i][li], rows[j][lj])
-        sp: Row = {}
-        for f, shift, scale in ((rows[i], shift_i, rows[j][lj] // d),
-                                (rows[j], shift_j, -(rows[i][li] // d))):
-            for e, c in f.items():
-                ne = mono_mul(e, shift)
-                sp[ne] = sp.get(ne, 0) + scale * c
-        sp = {e: c for e, c in sp.items() if c}
-        rem = basis.reduce(sp)[0]
+        rem = basis.reduce(basis.s_polynomial(i, j, lcm))[0]
         if rem:
-            sugar = max(sugars[i] + sum(shift_i), sugars[j] + sum(shift_j))
+            sugar = max(sugars[i] + sum(lcm) - sum(leads[i]),
+                        sugars[j] + sum(lcm) - sum(leads[j]))
             unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:
@@ -263,14 +422,13 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     # the active leads are minimal; reduce the tails for the reduced basis
     # (no lead divides a monomial below it, so a row never reduces its tail)
     final: List[Poly] = []
-    for g in active:
-        tail = dict(rows[g])
-        lc = tail.pop(leads[g])
+    for g in sorted(active, key=basis.leads.__getitem__):
+        tail = dict(basis.rows[g])
+        lc = tail.pop(basis.leads[g])
         row, mult = basis.reduce(tail)
-        row[leads[g]] = lc * mult
-        row = _primitive_row(row, leads[g])
+        row[basis.leads[g]] = lc * mult  # read after reduce: it may re-encode
+        row = basis.decode(_primitive_row(row, basis.leads[g]))
         final.append(Poly(ring, {e: Fraction(c) for e, c in row.items()}))
-    final.sort(key=lambda p: key(_lead(p.terms, key)))
     return GroebnerBasis(final, order, True)
 
 
@@ -295,42 +453,44 @@ def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
     return G.is_unit_ideal()
 
 
-def standard_monomials(G: GroebnerBasis, max_check: int = 10_000,
-                       variables: Optional[Sequence[str]] = None) -> QuotientBasis:
-    """All monomials (in the given variables) outside the leading-term ideal.
+def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
+                         variables: Optional[Sequence[str]] = None,
+                         limit: int = 10_000) -> List[Exponents]:
+    """The monomials in ``variables`` (default: all of the ring's) that no
+    lead divides, unsorted.
 
-    Raises InfiniteColength if the staircase complement exceeds ``max_check``
-    or is provably unbounded.
+    Raises InfiniteColength if some variable has no pure power among the
+    leads, which makes them infinitely many, or if there are more than
+    ``limit``.
     """
-    ring = G.ring
-    if variables is None:
-        variables = ring.variables
-    idx = [ring.index(v) for v in variables]
-    leads = G.leading_monomials()
-    # a pure power of each variable must appear among the leads, else infinite
+    idx = [ring.index(v) for v in
+           (ring.variables if variables is None else variables)]
     for i in idx:
-        if not any(all(k == 0 or j == i for j, k in enumerate(lm)) and lm[i] > 0
-                   for lm in leads):
+        if not any(lm[i] > 0 and sum(lm) == lm[i] for lm in leads):
             raise InfiniteColength(
                 f"no pure power of {ring.variables[i]!r} among leading terms")
     zero = (0,) * ring.nvars
-    found = []
-    frontier = [zero]
-    seen = {zero}
+    found, frontier, seen = [], [zero], {zero}
     while frontier:
         e = frontier.pop()
         if any(mono_divides(lm, e) for lm in leads):
             continue
         found.append(e)
-        if len(found) > max_check:
-            raise InfiniteColength(f"more than {max_check} standard monomials")
+        if len(found) > limit:
+            raise InfiniteColength(f"more than {limit} standard monomials")
         for i in idx:
-            ne = list(e)
-            ne[i] += 1
-            ne = tuple(ne)
+            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
             if ne not in seen:
                 seen.add(ne)
                 frontier.append(ne)
-    key = G._key
-    found.sort(key=key)
-    return QuotientBasis(ring, found)
+    return found
+
+
+def standard_monomials(G: GroebnerBasis, max_check: int = 10_000,
+                       variables: Optional[Sequence[str]] = None) -> QuotientBasis:
+    """All monomials (in the given variables) outside the leading-term ideal,
+    sorted by the basis order; see ``staircase_complement``."""
+    found = staircase_complement(G.leading_monomials(), G.ring, variables,
+                                 max_check)
+    found.sort(key=G._key)
+    return QuotientBasis(G.ring, found)

@@ -94,9 +94,9 @@ def parse_job(text: str) -> JobContext:
             continue
         try:
             _parse_line(ctx, line)
-        except JobError as exc:
-            raise JobError(f"line {lineno}: {exc}") from exc
-        except WContactError:
+        except WContactError as exc:
+            # keep the type and attributes, such as a ParseError's position
+            exc.args = (f"line {lineno}: {exc}",)
             raise
         except Exception as exc:
             raise JobError(f"line {lineno}: {exc}") from exc

@@ -469,7 +469,7 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """Does the monomial with exponents a divide the one with exponents b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(int.__le__, a, b))
 
 
 def mono_div(b: Exponents, a: Exponents) -> Exponents:

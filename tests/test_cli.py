@@ -4,6 +4,8 @@ must validate against the published schema."""
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -224,6 +226,20 @@ class TestExitCodes:
         assert captured.err.startswith(f"usage: wcontact {argv[0]} ")
         assert f"wcontact {argv[0]}: error: --" in captured.err
 
+    @pytest.mark.parametrize("argv,code,stdout,stderr", [
+        (["milnor", "--poly", "y^2+x^4", "--format", "text"], 0,
+         "milnor: 3", ""),
+        (["gb"], 2, "", "usage: wcontact gb "),
+    ], ids=["milnor", "missing-flags"])
+    def test_python_dash_m(self, argv, code, stdout, stderr):
+        env = dict(os.environ, PYTHONPATH=str(PKG_DIR.parent))
+        proc = subprocess.run([sys.executable, "-m", "wcontact", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == code
+        assert proc.stdout.strip() == stdout
+        assert proc.stderr.startswith(stderr)
+
     def test_text_format(self, tmp_path):
         out = tmp_path / "t.txt"
         code = main(["milnor", "--poly", "y^2+x^4", "--format", "text",
@@ -345,6 +361,22 @@ class TestJobs:
         # the whole job is refused: no task ran, so there is no task report
         assert data == {"error": {"type": "JobError",
                                   "message": f"line {line}: {message}"}}
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_parse_error_carries_its_line(self, tmp_path, capsys):
+        text = "vars x y\npoly P = x +\n"
+        with pytest.raises(ParseError) as err:
+            parse_job(text)
+        assert err.value.position == 3
+        assert str(err.value) == "line 2: expected a term (at position 3)"
+        job = tmp_path / "p.job"
+        job.write_text(text)
+        out = tmp_path / "r.json"
+        assert main(["run", str(job), "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        assert data["error"]["type"] == "ParseError"
+        assert data["error"]["message"].startswith("line 2:")
         assert "Traceback" not in capsys.readouterr().err
 
     def test_sampling_failure_fails_the_task(self, tmp_path, capsys):

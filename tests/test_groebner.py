@@ -7,10 +7,10 @@ import pytest
 import sympy
 
 from wcontact.errors import InfiniteColength
-from wcontact.groebner import (gb_buchberger, ideal_membership, normal_form,
-                               radical_membership, s_polynomial,
+from wcontact.groebner import (_Encoding, gb_buchberger, ideal_membership,
+                               normal_form, radical_membership, s_polynomial,
                                standard_monomials)
-from wcontact.poly import Poly, PolyRing, TermOrder
+from wcontact.poly import Poly, PolyRing, TermOrder, mono_div, mono_divides
 
 R = PolyRing(("x", "y"))
 x, y = R.var("x"), R.var("y")
@@ -215,6 +215,24 @@ def _monic(p, key):
     return frozenset((e, c / p.terms[lead]) for e, c in p.terms.items())
 
 
+def _assert_matches_sympy(gens, order, probes):
+    """The monic reduced basis and the remainders of ``probes`` equal
+    sympy's."""
+    ring = gens[0].ring
+    symbols = sympy.symbols(order.priority)
+    sym_order = "lex" if order.kind == "lex" else "grevlex"
+    SG = sympy.groebner([_to_sympy(g) for g in gens], *symbols,
+                        order=sym_order, domain=sympy.QQ)
+    G = gb_buchberger(gens, order)
+    key = order.key_function(ring)
+    assert {_monic(g, key) for g in G} == {
+        _monic(Poly(ring, _from_sympy(s, ring, symbols)), key)
+        for s in SG.exprs}
+    for p in probes:
+        remainder = SG.reduce(_to_sympy(p))[1]
+        assert normal_form(p, G).terms == _from_sympy(remainder, ring, symbols)
+
+
 class TestAgainstSympy:
     """Differential tests against sympy on seeded random ideals.
 
@@ -230,25 +248,13 @@ class TestAgainstSympy:
         rng = random.Random(seed * 7919 + nvars)
         ring = PolyRing(("x", "y", "z")[:nvars])
         priority = tuple(rng.sample(ring.variables, nvars))
-        order = TermOrder(kind, priority)
-        symbols = sympy.symbols(priority)
         gens = []
         while not gens:
             gens = [g for g in (_random_rational_poly(rng, ring)
                                 for _ in range(rng.randint(1, 4))) if g]
-        sym_order = "lex" if kind == "lex" else "grevlex"
-        SG = sympy.groebner([_to_sympy(g) for g in gens], *symbols,
-                            order=sym_order, domain=sympy.QQ)
-        G = gb_buchberger(gens, order)
-        key = order.key_function(ring)
-        assert {_monic(g, key) for g in G} == {
-            _monic(Poly(ring, _from_sympy(s, ring, symbols)), key)
-            for s in SG.exprs}
-        for _ in range(4):
-            p = _random_rational_poly(rng, ring, max_terms=6, max_deg=4)
-            remainder = SG.reduce(_to_sympy(p))[1]
-            assert normal_form(p, G).terms == \
-                _from_sympy(remainder, ring, symbols)
+        probes = [_random_rational_poly(rng, ring, max_terms=6, max_deg=4)
+                  for _ in range(4)]
+        _assert_matches_sympy(gens, TermOrder(kind, priority), probes)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unit_ideal(self, seed):
@@ -263,3 +269,71 @@ class TestAgainstSympy:
         for stop in (True, False):
             G = gb_buchberger(gens, LEX_YX, stop_at_unit=stop)
             assert list(G) == [ring.one()]
+
+
+class TestPackedMonomials:
+    """The packed monomials of the division kernel.
+
+    Fields start at 60 // n - 1 value bits for n variables: 5 bits (exponent
+    sums up to 31) in ten variables, 9 bits (up to 511) in six.
+    """
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_order_and_arithmetic(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 6)
+        ring = PolyRing(("s", "t", "k", "l", "m", "n")[:nvars])
+        order = TermOrder(rng.choice(("lex", "degrevlex")),
+                          rng.sample(ring.variables, nvars))
+        key = order.key_function(ring)
+        code = _Encoding(order, ring, rng.randint(1, 10))
+
+        def draw():
+            while True:
+                bound = rng.choice((1, 3, code.limit // nvars, code.limit))
+                e = tuple(rng.randint(0, bound) for _ in range(nvars))
+                if code.top(e) <= code.limit:
+                    return e
+
+        for _ in range(200):
+            a, b = draw(), draw()
+            pa, pb = code.pack(a), code.pack(b)
+            ab = tuple(i + j for i, j in zip(a, b))
+            assert code.unpack(pa) == a
+            assert (pa < pb) == (key(a) < key(b))
+            assert (pa == pb) == (a == b)
+            # a sum is exact, and carries into a guard bit exactly when a
+            # field of the product does not fit
+            assert code.unpack(pa + pb) == ab
+            assert bool((pa + pb) & code.guard) == (code.top(ab) > code.limit)
+            if code.top(ab) <= code.limit:
+                assert pa + pb == code.pack(ab)
+            if mono_divides(a, b):
+                assert pb - pa == code.pack(mono_div(b, a))
+
+    TEN = tuple("xyzabcdefg")
+    SIX = ("s", "t", "k", "l", "m", "n")
+    OVERFLOW_CASES = [
+        # input exponents wider than a field
+        (TEN, "degrevlex", TEN, ["x^70 - y^2", "y^3 - x"],
+         ["x^75 + y^4", "x*y^5*z^33"]),
+        (SIX, "degrevlex", SIX, ["s^600*t^600 - k*l", "k^2 - m*n", "l^3 - s"],
+         ["s^1300*t^600", "k^5*l^7"]),
+        # an S-pair lcm wider than a field
+        (TEN, "degrevlex", ("y", "x") + TEN[2:], ["x^20*y - 1", "x*y^20 - 1"],
+         ["x^21*y^2", "z^3"]),
+        # an S-polynomial term wider than a field, its lcm not
+        (TEN, "lex", TEN, ["x*y^20 - 1", "x^2 - y^25"], ["x^3", "y^30*x"]),
+        # lex reductions that raise the total degree past a field
+        (TEN, "lex", TEN, ["x - y^10 - y"], ["x^7 + x*y", "x^3*z"]),
+        (SIX, "lex", ("n", "m", "l", "k", "t", "s"),
+         ["n - s^100*t", "m - n^3", "l^2 - k"], ["m^4*l^5", "n^2*m"]),
+    ]
+
+    @pytest.mark.parametrize("names,kind,priority,gens,probes", OVERFLOW_CASES)
+    def test_overflow_widens_and_matches_sympy(self, names, kind, priority,
+                                               gens, probes):
+        ring = PolyRing(names)
+        _assert_matches_sympy([ring.parse(g) for g in gens],
+                              TermOrder(kind, priority),
+                              [ring.parse(p) for p in probes])
