@@ -3,15 +3,14 @@ Groebner bases, Weierstrass preparation, local colengths, nondegeneracy maps,
 Hilbert-scheme chart equations, and z-lifts onto A_n surface singularities."""
 
 from .charts import (GroebnerStratumChart, LiftedIdeal, an_surface,
-                     generic_chart, ideal_equal_localized,
-                     lift_chart_equivalence, lift_L, lift_Lprime,
+                     ideal_equal_localized, lift_chart_equivalence,
                      lift_contact, lift_interior, relative_hilb_equations,
                      substitute_with_denominator,
                      verify_membership_equivalence)
 from .errors import WContactError
-from .families import (ContactFamily, ParameterSpace, StrataPreservingChange,
-                       apply_change, family_from_basis, multiply_unit,
-                       to_distinguished, to_normal_form, validate_contact)
+from .families import (ContactFamily, StrataPreservingChange, apply_change,
+                       family_from_basis, multiply_unit, to_distinguished,
+                       to_normal_form)
 from .geometry import (AffineScheme, nested_singularity_report,
                        singular_locus_ideal, tangent_space_dim, variety_equal)
 from .groebner import (GroebnerBasis, gb_buchberger, ideal_membership,

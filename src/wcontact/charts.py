@@ -4,7 +4,7 @@ scheme equations, and the z-direction lifts onto A_n surface singularities."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -206,12 +206,6 @@ class GroebnerStratumChart:
                 f"stratum_eqs={len(self.stratum_equations)}>")
 
 
-def generic_chart(staircase_gens: Sequence[Poly], order: TermOrder,
-                  param_names: Optional[Sequence[str]] = None,
-                  geo_vars: Tuple[str, str] = ("x", "y")) -> GroebnerStratumChart:
-    return GroebnerStratumChart(staircase_gens, order, param_names, geo_vars)
-
-
 @dataclass
 class RelativeHilbEquations:
     """Defining equations of {(lambda, c) : E_lambda lies in the chart ideal}."""
@@ -234,15 +228,10 @@ def relative_hilb_equations(F: ContactFamily,
     if clash:
         raise ValueError(f"parameter name clash between family and chart: {clash}")
     ring = F.E.ring.extend(chart.param_names)
-    E = F.E.map_to(ring)
-    residue = chart_reduce_in(chart, E, ring)
+    residue = chart.geo_reduce(F.E.map_to(ring))
     eqs = chart._coefficients_on_standard(residue)
     stratum = [q.map_to(ring) for q in chart.stratum_equations]
     return RelativeHilbEquations(eqs, stratum, ring, F.params, chart.param_names)
-
-
-def chart_reduce_in(chart: GroebnerStratumChart, p: Poly, ring: PolyRing) -> Poly:
-    return chart.geo_reduce(p.map_to(ring))
 
 
 @dataclass
@@ -295,10 +284,6 @@ def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly],
     graph = ring.var(z) - F.E.map_to(ring)
     gens = [p.map_to(ring) for p in ideal_gens] + [graph]
     return LiftedIdeal(gens, graph, "interior", z, Fraction(0))
-
-
-lift_L = lift_contact
-lift_Lprime = lift_interior
 
 
 def an_surface(n: int, ring: Optional[PolyRing] = None) -> Poly:

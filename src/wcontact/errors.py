@@ -18,7 +18,8 @@ class ParseError(WContactError):
 
 
 class UsageError(WContactError):
-    """A command-line flag has a value the command cannot use."""
+    """An argument, such as a command-line flag, has a value the operation
+    cannot use."""
 
 
 class UnknownVariable(WContactError):

@@ -8,30 +8,14 @@ used with the Delta map and the interior lift only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import NotAUnit, NotWContact, WrongKind
 from .poly import Poly, PolyRing
 from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
                      truncate_poly, truncated_product,
                      weierstrass_prepare_x)
-
-
-@dataclass(frozen=True)
-class ParameterSpace:
-    """Affine parameter space with distinguished coordinates; base point 0."""
-
-    names: Tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate parameter names")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.names)
 
 
 class ContactFamily:
@@ -110,9 +94,6 @@ class ContactFamily:
         if self.kind != "contact":
             raise WrongKind("operation requires a contact-kind family")
 
-    def parameter_space(self) -> ParameterSpace:
-        return ParameterSpace(self.params)
-
     def at_base_point(self) -> Poly:
         """Central equation E_0."""
         return self.E.subs({p: 0 for p in self.params})
@@ -133,13 +114,6 @@ class ContactFamily:
         if self.kind == "contact":
             head += f" (w={self.w})"
         return f"<{head}: {self.E}>"
-
-
-def validate_contact(E: Poly, params: Sequence[str] = (),
-                     expected_w: Optional[int] = None,
-                     x: str = "x", y: str = "y") -> ContactFamily:
-    """Validate a contact family and cache its (f, g, w) decomposition."""
-    return ContactFamily.contact(E, params, x, y, expected_w)
 
 
 def to_normal_form(F: ContactFamily,
@@ -229,13 +203,6 @@ class StrataPreservingChange:
     def identity(cls, ring: PolyRing, x: str = "x", y: str = "y"
                  ) -> "StrataPreservingChange":
         return cls(ring.var(x), ring.var(y), (), x, y)
-
-    def is_identity_at_base(self) -> bool:
-        """True if the change restricts to the identity at lambda = 0."""
-        ring = self.x_image.ring
-        zero = {p: 0 for p in self.params}
-        return (self.x_image.subs(zero) == ring.var(self.x)
-                and self.y_image.subs(zero) == ring.var(self.y))
 
 
 def apply_change(F: ContactFamily, phi: StrataPreservingChange,

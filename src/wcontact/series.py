@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CertificationFailed, ContactOrderMismatch,
-                     InconsistentBranchCount, NotAUnit, NotIsolated)
-from .poly import Exponents, Poly, PolyRing, TermOrder, mono_divides, mono_mul
+                     InconsistentBranchCount, NotAUnit, NotIsolated,
+                     UsageError)
+from .poly import Exponents, Poly, PolyRing, TermOrder, mono_mul
 
 DEFAULT_TRUNCATION = 12
 TRUNCATION_CAP = 48
@@ -215,6 +216,9 @@ class LocalIdeal:
                  variables: Optional[Sequence[str]] = None,
                  truncation: int = DEFAULT_TRUNCATION,
                  cap: int = TRUNCATION_CAP):
+        if truncation < 1:
+            # certify doubles the order from here, which 0 or less never ends
+            raise UsageError(f"truncation order {truncation} is below 1")
         generators = [g for g in generators if not g.is_zero()]
         if not generators:
             raise ValueError("no nonzero generators")

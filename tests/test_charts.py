@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from wcontact import charts
-from wcontact.charts import (GroebnerStratumChart, an_surface, generic_chart,
+from wcontact.charts import (GroebnerStratumChart, an_surface,
                              ideal_equal_localized, lift_chart_equivalence,
-                             lift_contact, lift_interior, lift_L, lift_Lprime,
+                             lift_contact, lift_interior,
                              relative_hilb_equations,
                              substitute_with_denominator,
                              verify_membership_equivalence)
@@ -78,7 +78,7 @@ class TestChartConstruction:
             GroebnerStratumChart([GEO.parse("y + x")], LEX_YX)
 
     def test_generic_chart_alias(self):
-        c = generic_chart([GEO.parse("y"), GEO.parse("x^2")], LEX_YX)
+        c = GroebnerStratumChart([GEO.parse("y"), GEO.parse("x^2")], LEX_YX)
         assert c.colength == 2
 
     def test_specialize(self):
@@ -208,7 +208,6 @@ class TestLifts:
         assert str(L.graph_relation) == "x*s - s*z - t*z + y + t - z"
         assert [str(g) for g in L.generators[:2]] == ["y", "x^2"]
         assert L.generators[-1] == L.graph_relation
-        assert lift_L is lift_contact
 
     def test_interior_lift(self):
         ring = PolyRing(("x", "y", "t"))
@@ -217,7 +216,6 @@ class TestLifts:
         assert L.kind == "interior"
         zr = L.graph_relation.ring
         assert L.graph_relation == zr.parse("z - (y^2 + x^2 + t*x)")
-        assert lift_Lprime is lift_interior
 
     def test_kind_guards(self):
         with pytest.raises(WrongKind):

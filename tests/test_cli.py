@@ -14,6 +14,7 @@ import wcontact
 from wcontact.cli import build_parser, load_family, main
 from wcontact.errors import JobError, ParseError
 from wcontact.jobs import parse_job, run_job
+from wcontact.ops import OPS
 
 PKG_DIR = pathlib.Path(wcontact.__file__).parent
 FAM = str(PKG_DIR / "data" / "codim4.fam")
@@ -240,12 +241,14 @@ class TestExitCodes:
         assert proc.stdout.strip() == stdout
         assert proc.stderr.startswith(stderr)
 
-    def test_text_format(self, tmp_path):
+    def test_text_format(self, tmp_path, capsys):
         out = tmp_path / "t.txt"
         code = main(["milnor", "--poly", "y^2+x^4", "--format", "text",
                      "--out", str(out)])
         assert code == 0
-        assert out.read_text().strip() == "milnor: 3"
+        assert out.read_text() == "milnor: 3\n"
+        assert main(["milnor", "--poly", "y^2+x^4", "--format", "text"]) == 0
+        assert capsys.readouterr().out == "milnor: 3\n"
 
 
 SMALL_JOB = """\
@@ -400,3 +403,153 @@ class TestJobs:
         data = json.loads(out.read_text())
         VALIDATOR.validate(data)
         assert data["failed_tasks"] == 1
+
+
+JOB_HEAD = """\
+seed 5
+vars x y
+params s t
+family F = contact (y^2+x^4)+s*x*(y+x^3)+t*(y+x^4)
+family G = interior y^2 + x^3 + t*y
+ideal I = y, x^2
+chart C = staircase y, x^2 order lex y>x names k,l,m,n
+poly P = y^2+x^4
+"""
+
+
+def _interior_fam(tmp_path):
+    fam = tmp_path / "int.fam"
+    fam.write_text("vars x y\nparams t\nkind interior\ny^2 + x^3 + t*y\n")
+    return str(fam)
+
+
+# op: (command-line flags, job declarations, task arguments)
+AGREEMENT = {
+    "gb": (["--gens", "y-x, y^2-1", "--vars", "x,y", "--order", "lex y>x"],
+           "ideal A = y-x, y^2-1", "A lex y>x"),
+    "nf": (["--poly", "x^3", "--gens", "x^2-y", "--vars", "x,y",
+            "--order", "lex x>y"], "poly Q = x^3\nideal A = x^2-y",
+           "Q A lex x>y"),
+    "colength": (["--gens", "y-x^2, x^3"], "ideal A = y-x^2, x^3", "A"),
+    "prepare": (["--family", FAM], "", "F"),
+    "phi": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "delta": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "psi": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "star": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "relaxed": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "chart": (["--chart", "y, x^2", "--order", "lex y>x"], "", "C"),
+    "hilb-eq": (["--family", FAM, "--chart", "y, x^2", "--order", "lex y>x",
+                 "--chart-params", "k,l,m,n"], "", "F C"),
+    "lift": (["--family", FAM, "--ideal", "y, x^2"], "", "F I"),
+    "lift-prime": (["--family", None, "--ideal", "y, x^2"], "", "G I"),
+    "verify-corr": (["--family", FAM, "--ideal", "y, x^2", "--samples", "3"],
+                    "", "F I samples 3"),
+    "lift-equiv": (["--family", FAM, "--chart", "y, x^2", "--order",
+                    "lex y>x"], "", "F C"),
+    "sing": (["--eqs", "x*y", "--vars", "x,y", "--codim", "1"],
+             "ideal A = x*y", "A codim 1"),
+    "tangent": (["--eqs", "x*y", "--vars", "x,y", "--point", "x=1,y=0"],
+                "ideal A = x*y", "A point x=1,y=0"),
+    "variety-eq": (["--a", "x^2", "--b", "x", "--vars", "x,y"],
+                   "ideal A = x^2\nideal B = x", "A B"),
+    "nested": (["--eqs", "x*y - s^2", "--ideal", "s, x*y", "--vars", "x,y,s",
+                "--codim", "1"], "ideal A = x*y - s^2\nideal B = s, x*y",
+               "A B codim 1"),
+    "milnor": (["--poly", "y^2+x^4"], "", "P"),
+    "tjurina": (["--poly", "y^2+x^4", "--vars", "x,y"], "", "P"),
+    "delta-inv": (["--poly", "y^2+x^4", "--branches", "2"], "", "P 2"),
+}
+
+
+def test_agreement_covers_every_op():
+    assert set(AGREEMENT) == set(OPS)
+
+
+@pytest.mark.parametrize("op", sorted(AGREEMENT))
+def test_front_ends_agree(op, tmp_path):
+    """Each operation gives one result object from the command line and
+    from a one-task job."""
+    flags, decls, task = AGREEMENT[op]
+    flags = [_interior_fam(tmp_path) if f is None else f for f in flags]
+    text = JOB_HEAD + decls + f"\ntask t = {op} {task}\n"
+    if op == "verify-corr":  # a job seeds each task from seed:taskname
+        flags += ["--seed", str(parse_job(text).sub_seed("t"))]
+    code, cli_result = check([op] + flags, tmp_path)
+    report = run_job(text)
+    VALIDATOR.validate(report)
+    assert code == 0 and report["failed_tasks"] == 0
+    job_result = json.loads(json.dumps(report["tasks"]["t"]["result"]))
+    assert job_result == cli_result
+
+
+# malformed inputs from both front ends: (argv or job line, exit code)
+MALFORMED = [
+    (["colength", "--gens", "x,y", "--trunc", "0"], 2),
+    (["star", "--family", FAM, "--ideal", "y, x^2", "--trunc", "-1"], 2),
+    (["gb", "--gens", "x,y", "--vars", "x,y", "--order", "foo"], 2),
+    (["colength", "--gens", "0"], 2),
+    (["phi", "--family", FAM, "--ideal", "0"], 2),
+    (["sing", "--eqs", "0", "--vars", "x,y", "--codim", "1"], 2),
+    (["sing", "--eqs", "x*y", "--vars", "x,y", "--codim", "-1"], 2),
+    (["tangent", "--eqs", "x*y", "--vars", "x,y", "--point", "x=a"], 2),
+    (["prepare", "--family", "vars x\ny^2+x^4\n"], 2),
+    (["prepare", "--family", "kind weird\ny^2+x^4\n"], 2),
+    (["delta-inv", "--poly", "y^2+x^4", "--branches", "0"], 2),
+    (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "0"], 2),
+    (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "-2"], 2),
+    ("trunc 0", 1),
+    ("task a = gb I foo", 1),
+    ("task a = nf P I bar", 1),
+    ("task a = gb Z", 1),
+    ("task a = psi F Z", 1),
+    ("task a = phi F Z", 1),
+    ("task a = sing I codim 0", 1),
+    ("task a = tangent I point x=a", 1),
+    ("task a = delta-inv P 0", 1),
+    ("task a = verify-corr F I samples 0", 1),
+    ("task a = chart C extra", 1),
+]
+
+
+@pytest.mark.parametrize("case,code", MALFORMED,
+                         ids=[" ".join(c) if isinstance(c, list) else c
+                              for c, _ in MALFORMED])
+def test_malformed_input_is_typed(case, code, tmp_path, capsys):
+    """A usage error exits 2 on the command line; in a job the whole job or
+    the one task fails with a JobError.  No traceback either way."""
+    out = tmp_path / "r.json"
+    if isinstance(case, str):
+        job = tmp_path / "m.job"
+        job.write_text(JOB_HEAD + "ideal Z = 0\n" + case + "\n")
+        argv = ["run", str(job)]
+    else:
+        argv = list(case)
+        if "\n" in argv[-1]:  # a .fam file's text
+            fam = tmp_path / "m.fam"
+            fam.write_text(argv[-1])
+            argv[-1] = str(fam)
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"wcontact {argv[0]}: error: --" in err
+    else:
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        errors = [data.get("error")] + [t.get("error") for t in
+                                        data.get("tasks", {}).values()]
+        assert [e["type"] for e in errors if e] == ["JobError"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["colength", "--gens", "x,y", "--trunc", "0"], 2),
+    (["star", "--family", FAM, "--ideal", "y, x^2", "--trunc", "-1"], 2),
+], ids=["colength-trunc-0", "star-trunc-minus-1"])
+def test_truncation_below_one_ends_in_time(argv, code):
+    """These used to double a truncation order that never grows."""
+    env = dict(os.environ, PYTHONPATH=str(PKG_DIR.parent))
+    proc = subprocess.run([sys.executable, "-m", "wcontact", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == code
+    assert "must be at least 1" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -9,8 +9,7 @@ import pytest
 from wcontact.errors import NotAUnit, NotWContact, WrongKind
 from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, family_from_basis, multiply_unit,
-                               to_distinguished, to_normal_form,
-                               validate_contact)
+                               to_distinguished, to_normal_form)
 from wcontact.poly import Poly, PolyRing
 from wcontact.series import truncate_poly
 
@@ -56,7 +55,7 @@ class TestDecomposition:
 
     def test_expected_w_mismatch(self):
         with pytest.raises(NotWContact):
-            validate_contact(R2.parse("y^2 + x^4"), expected_w=3)
+            ContactFamily.contact(R2.parse("y^2 + x^4"), expected_w=3)
 
     def test_undeclared_variable(self):
         with pytest.raises(NotWContact):

@@ -8,7 +8,8 @@ import pytest
 import sympy
 
 from wcontact.errors import (CertificationFailed, ContactOrderMismatch,
-                             InconsistentBranchCount, NotAUnit, NotIsolated)
+                             InconsistentBranchCount, NotAUnit, NotIsolated,
+                             UsageError)
 from wcontact.poly import Poly, PolyRing
 from wcontact.series import (DEFAULT_TRUNCATION, LocalIdeal, TruncatedSeries,
                              delta_invariant, local_colength, milnor_number,
@@ -220,6 +221,12 @@ class TestColength:
     def test_infinite_colength_fails_certification(self):
         with pytest.raises(CertificationFailed):
             LocalIdeal([y], ("x", "y"), truncation=6, cap=12).certify()
+
+    @pytest.mark.parametrize("truncation", [0, -1])
+    def test_truncation_below_one_rejected(self, truncation):
+        # certify doubles the order from here, so it would never stop
+        with pytest.raises(UsageError):
+            LocalIdeal([x, y], ("x", "y"), truncation=truncation)
 
     def test_unit_invariance(self):
         rng = random.Random(8)
