@@ -14,7 +14,7 @@ from . import jobs
 from .charts import GroebnerStratumChart
 from .errors import ParseError, UsageError, WContactError
 from .families import ContactFamily
-from .ops import (OPS, REQUIRED, Op, nonzero, parse_order, parse_point,
+from .ops import (OPS, REQUIRED, Op, call, nonzero, parse_order, parse_point,
                   positive, public)
 from .poly import PolyRing, TermOrder
 from .series import DEFAULT_TRUNCATION
@@ -90,7 +90,8 @@ def _render_text(obj, indent: str = "") -> str:
 def _flags(op: Op):
     """The (flag, add_argument keywords) pairs of an op's subcommand."""
     kinds = {a.kind for a in op.args}
-    if kinds & {"ideal", "gens", "poly"} and not kinds & {"family", "vars"}:
+    if kinds & {"ideal", "gens", "poly"} and \
+            not kinds & {"family", "vars", "listed-vars"}:
         yield "--vars", {"required": True}  # the ring polynomials are read in
     for a in op.args:
         if a.kind in ("chart", "chart-or-ideal"):
@@ -185,7 +186,7 @@ def _read(a, args, ring: Optional[PolyRing], family) -> Any:
         return nonzero(gens) if kind == "ideal" else gens
     if kind == "poly":
         return ring.parse(value)
-    if kind == "vars":
+    if kind in ("vars", "listed-vars"):
         return ring.variables
     if kind in ("order", "point"):
         parse = parse_order if kind == "order" else parse_point
@@ -205,7 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = 1 if report["failed_tasks"] else 0
         else:
             op = OPS[args.command]
-            report = public(op.handler(**_inputs(op, args)))
+            report = public(call(op, _inputs(op, args)))
             code = 1 if report.get("ok") is False else 0
     except UsageError as exc:
         args.subparser.print_usage(sys.stderr)

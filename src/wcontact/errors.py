@@ -22,6 +22,10 @@ class UsageError(WContactError):
     cannot use."""
 
 
+class Unsupported(WContactError):
+    """An input an operation's code does not handle (a library ValueError)."""
+
+
 class UnknownVariable(WContactError):
     pass
 

@@ -32,8 +32,8 @@ from typing import Any, Dict, List, Tuple
 from .charts import GroebnerStratumChart
 from .errors import JobError, UsageError, WContactError
 from .families import ContactFamily
-from .ops import (GEO, OPS, REQUIRED, Op, nonzero, parse_order, parse_point,
-                  positive, public)
+from .ops import (GEO, OPS, REQUIRED, Op, call, nonzero, parse_order,
+                  parse_point, positive, public)
 from .poly import Poly, PolyRing, TermOrder
 from .series import DEFAULT_TRUNCATION
 
@@ -177,13 +177,13 @@ def _read_task(op: str, tokens: List[str]) -> Dict[str, Any]:
         for a in args:
             if a.kind == "count":
                 values[a.name] = _positive_int(values[a.name],
-                                               f"task {op!r}: {a.label}")
+                                               f"task {op!r}: {a.name!r}")
             elif a.kind == "order":
                 values[a.name] = parse_order(" ".join(rest)) if rest else None
                 rest = []
-            elif a.kind == "vars" and a.default is REQUIRED and rest:
-                values[a.name] = tuple(rest.pop(0).split(","))
-    except UsageError as exc:
+            elif a.kind == "listed-vars" and rest:
+                values[a.name] = PolyRing(rest.pop(0).split(",")).variables
+    except (UsageError, ValueError) as exc:  # ValueError: a bad variable list
         raise JobError(f"task {op!r}: {exc}") from None
     if rest:
         raise JobError(f"task {op!r}: unexpected {' '.join(rest)!r}")
@@ -258,7 +258,7 @@ def _resolve(ctx: JobContext, task: str, op: Op, a, values) -> Any:
         return ctx.sub_seed(task)
     if a.kind == "vars" and a.default == GEO:
         return tuple(ctx.vars[:2])
-    if a.kind == "vars" and value is None:
+    if a.kind in ("vars", "listed-vars") and value is None:
         # the variables the first polynomial argument uses, in ring order
         first = next(values[b.name] for b in op.args
                      if b.kind in ("ideal", "gens", "poly"))
@@ -276,7 +276,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
     values = _read_task(op, args)
     for a in spec.args:
         values[a.name] = _resolve(ctx, name, spec, a, values)
-    return spec.handler(**values)
+    return call(spec, values)
 
 
 def run_job(text: str, include_timing: bool = False) -> Dict[str, Any]:

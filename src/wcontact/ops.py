@@ -4,9 +4,10 @@ the arguments it takes, and the one handler that computes its report.
 An argument's kind says what it is; cli reads each kind from flags and jobs
 from a task line (the README lists both forms).  An 'ideal' loses its zero
 generators and must keep one, while 'gens' is taken as written; every count,
-int and trunc is at least 1.  A handler gets the typed values as keywords and
-returns the report; keys starting with '_' stay out of it ('_polys' passes
-polynomials on to the later tasks of a job).
+int and trunc is at least 1; a job may list 'listed-vars' at the end of a
+task line.  call() runs a handler on the typed values and returns its report;
+keys starting with '_' stay out of it ('_polys' passes polynomials on to the
+later tasks of a job).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .charts import (lift_chart_equivalence, lift_contact, lift_interior,
                      relative_hilb_equations, verify_membership_equivalence)
-from .errors import UsageError, WContactError
+from .errors import Unsupported, UsageError, WContactError
 from .families import to_distinguished
 from .geometry import (AffineScheme, nested_singularity_report,
                        singular_locus_ideal, tangent_space_dim, variety_equal)
@@ -35,7 +36,6 @@ class Arg(NamedTuple):
     kind: str
     name: str                    # the handler's keyword and the flag
     default: Any = REQUIRED
-    label: Optional[str] = None  # a count's name in job error messages
 
 
 class Op(NamedTuple):
@@ -85,6 +85,15 @@ def parse_point(text: str) -> Dict[str, Fraction]:
         except ValueError:
             raise UsageError(f"{part.strip()!r} is not name=rational") from None
     return point
+
+
+def call(op: Op, values: Dict[str, Any]) -> Dict[str, Any]:
+    """The handler's result; a ValueError of the library code it calls, an
+    input the operation does not handle, becomes Unsupported."""
+    try:
+        return op.handler(**values)
+    except ValueError as exc:
+        raise Unsupported(str(exc)) from exc
 
 
 def public(result: Dict[str, Any]) -> Dict[str, Any]:
@@ -286,13 +295,12 @@ def milnor(poly, vars):
     return {"milnor": milnor_number(poly, vars)}
 
 
-@op("tjurina", Arg("poly", "poly"), Arg("vars", "vars"))
+@op("tjurina", Arg("poly", "poly"), Arg("listed-vars", "vars"))
 def tjurina(poly, vars):
     return {"tjurina": tjurina_number(poly, vars)}
 
 
-@op("delta-inv", Arg("poly", "poly"),
-    Arg("count", "branches", label="the branch count"),
+@op("delta-inv", Arg("poly", "poly"), Arg("count", "branches"),
     Arg("vars", "vars", GEO))
 def delta_inv(poly, branches, vars):
     return {"milnor": milnor_number(poly, vars), "branches": branches,

@@ -349,7 +349,7 @@ class TestJobs:
         ("sing I", "task 'sing' needs 'codim N'"),
         ("nested I I codim x", "task 'nested': 'codim' needs an integer"),
         ("delta-inv P q",
-         "task 'delta-inv': the branch count must be an integer"),
+         "task 'delta-inv': 'branches' must be an integer"),
     ], ids=["chart-no-args", "samples-no-count", "samples-not-int",
             "sing-no-codim", "codim-not-int", "branches-not-int"])
     def test_bad_task_arguments_rejected_before_running(
@@ -497,26 +497,35 @@ MALFORMED = [
     (["delta-inv", "--poly", "y^2+x^4", "--branches", "0"], 2),
     (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "0"], 2),
     (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "-2"], 2),
-    ("trunc 0", 1),
-    ("task a = gb I foo", 1),
-    ("task a = nf P I bar", 1),
-    ("task a = gb Z", 1),
-    ("task a = psi F Z", 1),
-    ("task a = phi F Z", 1),
-    ("task a = sing I codim 0", 1),
-    ("task a = tangent I point x=a", 1),
-    ("task a = delta-inv P 0", 1),
-    ("task a = verify-corr F I samples 0", 1),
-    ("task a = chart C extra", 1),
+    ("trunc 0", "JobError"),
+    ("task a = gb I foo", "JobError"),
+    ("task a = nf P I bar", "JobError"),
+    ("task a = gb Z", "JobError"),
+    ("task a = psi F Z", "JobError"),
+    ("task a = phi F Z", "JobError"),
+    ("task a = sing I codim 0", "JobError"),
+    ("task a = tangent I point x=a", "JobError"),
+    ("task a = delta-inv P 0", "JobError"),
+    ("task a = verify-corr F I samples 0", "JobError"),
+    ("task a = chart C extra", "JobError"),
+    ("task a = sing I codim 2 x,y", "JobError"),
+    ("task a = tjurina P x,x", "JobError"),
+    # inputs the library code does not handle
+    (["prepare", "--family", FAM, "--trunc", "2"], "Unsupported"),
+    (["lift-equiv", "--family", FAM, "--chart", "y^2, x*y, x^2"],
+     "Unsupported"),
+    ("trunc 2\ntask a = prepare F", "Unsupported"),
+    ("ideal J = y - s*x, x^2\ntask a = phi F J", "Unsupported"),
 ]
 
 
-@pytest.mark.parametrize("case,code", MALFORMED,
+@pytest.mark.parametrize("case,outcome", MALFORMED,
                          ids=[" ".join(c) if isinstance(c, list) else c
                               for c, _ in MALFORMED])
-def test_malformed_input_is_typed(case, code, tmp_path, capsys):
+def test_malformed_input_is_typed(case, outcome, tmp_path, capsys):
     """A usage error exits 2 on the command line; in a job the whole job or
-    the one task fails with a JobError.  No traceback either way."""
+    the one task fails with a JobError.  An input the library does not
+    handle fails with Unsupported and exit 1.  No traceback either way."""
     out = tmp_path / "r.json"
     if isinstance(case, str):
         job = tmp_path / "m.job"
@@ -528,6 +537,7 @@ def test_malformed_input_is_typed(case, code, tmp_path, capsys):
             fam = tmp_path / "m.fam"
             fam.write_text(argv[-1])
             argv[-1] = str(fam)
+    code = 2 if outcome == 2 else 1
     assert main(argv + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -538,7 +548,7 @@ def test_malformed_input_is_typed(case, code, tmp_path, capsys):
         VALIDATOR.validate(data)
         errors = [data.get("error")] + [t.get("error") for t in
                                         data.get("tasks", {}).values()]
-        assert [e["type"] for e in errors if e] == ["JobError"]
+        assert [e["type"] for e in errors if e] == [outcome]
 
 
 @pytest.mark.parametrize("argv,code", [
