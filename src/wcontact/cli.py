@@ -210,7 +210,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = 1 if report.get("ok") is False else 0
     except UsageError as exc:
         args.subparser.print_usage(sys.stderr)
-        print(f"{args.subparser.prog}: error: {exc}", file=sys.stderr)
+        flag = f"--{exc.arg}: " if exc.arg else ""
+        print(f"{args.subparser.prog}: error: {flag}{exc}", file=sys.stderr)
         return 2
     except WContactError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},

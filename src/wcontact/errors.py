@@ -19,7 +19,12 @@ class ParseError(WContactError):
 
 class UsageError(WContactError):
     """An argument, such as a command-line flag, has a value the operation
-    cannot use."""
+    cannot use; ``arg`` names the argument when the operation's handler
+    finds the fault."""
+
+    def __init__(self, message, arg=None):
+        super().__init__(message)
+        self.arg = arg
 
 
 class Unsupported(WContactError):
@@ -43,7 +48,9 @@ class ContactOrderMismatch(WContactError):
 
 
 class CertificationFailed(WContactError):
-    """Colength certification did not stabilize below the truncation cap."""
+    """An exact test could not conclude within its stated bounds: colength
+    certification did not stabilize below the truncation cap, or the
+    linear-factor test went past its divisor or candidate bound."""
 
 
 class NotIsolated(WContactError):

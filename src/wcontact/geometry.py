@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, product
+from math import gcd, lcm, prod
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import PointNotOnScheme
+from .errors import CertificationFailed, PointNotOnScheme, UnknownVariable
 from .groebner import TermOrder, gb_buchberger, normal_form, radical_membership
 from .linalg import MatrixQ
 from .poly import Poly, PolyRing
@@ -142,25 +143,140 @@ def _quadratic_part_rank(p: Poly, span: Sequence[str]) -> int:
     return MatrixQ(M).rank()
 
 
-def has_linear_factor(p: Poly, variables: Sequence[str]) -> bool:
-    """Whether p has a linear (degree-1, possibly affine) factor over Q,
-    by exact factorization of the polynomial over the rationals."""
-    import sympy
+DIVISOR_BOUND = 10 ** 12
+CANDIDATE_BOUND = 10 ** 4
 
-    syms = {v: sympy.Symbol(v) for v in variables}
-    expr = sympy.Integer(0)
-    idx = [p.ring.index(v) for v in variables]
+
+def has_linear_factor(p: Poly, variables: Sequence[str]) -> bool:
+    """Whether p, a polynomial in the span ``variables``, has a factor of
+    total degree 1 over Q; zero and the constants have none.
+
+    A linear factor involving v is, up to a scalar, v - L(x') with L affine
+    over Q in the other span variables x', and it divides p exactly when
+    p(L(x'), x') = 0.  For each v of degree d >= 1 in p, let c(x') be the
+    leading coefficient of p in v, and p0 the first point of the grid
+    {0..(m+1) deg c}^m (by largest coordinate; m = len(x')) at which c is
+    nonzero, together with every p0 + e_j: such a point exists because
+    c != 0.  At each of these points L(q) is a rational root of p(v, q), of
+    degree d in v, found by the rational root theorem; so L(p0) and the
+    slopes L(p0 + e_j) - L(p0) range over a finite set of candidates.  A
+    candidate must vanish at one further point before p.subs({v: L}) checks
+    it exactly.
+
+    Bounds: the divisors enumerated are those of integers of absolute value
+    at most DIVISOR_BOUND, and at most CANDIDATE_BOUND candidates are formed
+    for each v.  Past either bound the test raises CertificationFailed
+    rather than guess.  A variable of p outside the span raises
+    UnknownVariable."""
+    ring = p.ring
+    span = [ring.index(v) for v in variables]
+    for e in p.terms:
+        stray = [ring.variables[i] for i, k in enumerate(e)
+                 if k and i not in span]
+        if stray:
+            raise UnknownVariable(f"{stray[0]!r} is outside the span "
+                                  f"{tuple(variables)}")
+    return not p.is_constant() and any(
+        _has_factor_in(p, i, [j for j in span if j != i]) for i in span)
+
+
+def _has_factor_in(p: Poly, i: int, rest: List[int]) -> bool:
+    """Whether p has a linear factor v - L(x') with v variable i of its ring
+    and L affine in the variables ``rest``."""
+    d = max(e[i] for e in p.terms)
+    if d == 0:
+        return False
+    m = len(rest)
+    bound = (m + 1) * max(sum(e[j] for j in rest)
+                          for e in p.terms if e[i] == d)
+    for p0 in _grid(m, bound):
+        points = [p0] + [p0[:j] + (p0[j] + 1,) + p0[j + 1:] for j in range(m)]
+        lines = [_restrict(p, i, d, rest, q) for q in points]
+        if all(u[d] for u in lines):
+            break
+    roots = [_rational_roots(u) for u in lines]
+    if prod(map(len, roots)) > CANDIDATE_BOUND:
+        raise CertificationFailed(
+            f"more than {CANDIDATE_BOUND} linear-factor candidates")
+    probe = tuple(x + j + 2 for j, x in enumerate(p0))
+    on_probe = _restrict(p, i, d, rest, probe)
+    ring = p.ring
+    for r0, *rs in product(*roots):
+        slopes = [r - r0 for r in rs]
+        at_probe = r0 + sum(a * (x - x0) for a, x, x0 in zip(slopes, probe, p0))
+        if _horner(on_probe, at_probe):
+            continue
+        L = ring.const(r0 - sum(a * x0 for a, x0 in zip(slopes, p0)))
+        for a, j in zip(slopes, rest):
+            L = L + ring.var(ring.variables[j]) * a
+        if p.subs({ring.variables[i]: L}).is_zero():
+            return True
+    return False
+
+
+def _grid(m: int, bound: int):
+    """The points of {0..bound}^m, by increasing largest coordinate."""
+    for top in range(bound + 1):
+        for q in product(range(top + 1), repeat=m):
+            if max(q, default=0) == top:
+                yield q
+
+
+def _restrict(p: Poly, i: int, d: int, rest: List[int], point) -> List[Fraction]:
+    """The coefficients of v^0 .. v^d in p(v, point), v being variable i."""
+    coeffs = [Fraction(0)] * (d + 1)
     for e, c in p.terms.items():
-        if any(k for i, k in enumerate(e) if i not in idx and k):
-            raise ValueError("polynomial involves variables outside the span")
-        term = sympy.Rational(c.numerator, c.denominator)
-        for v, i in zip(variables, idx):
-            if e[i]:
-                term *= syms[v] ** e[i]
-        expr += term
-    _, factors = sympy.factor_list(expr, *syms.values())
-    return any(sympy.Poly(f, *syms.values()).total_degree() == 1
-               for f, _mult in factors)
+        for j, x in zip(rest, point):
+            if e[j]:
+                c *= x ** e[j]
+        coeffs[e[i]] += c
+    return coeffs
+
+
+def _horner(coeffs: Sequence, x):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def _rational_roots(coeffs: List[Fraction]) -> Set[Fraction]:
+    """The rational roots of sum(coeffs[k] v^k), whose last coefficient is
+    nonzero, by the rational root theorem."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    low = next(k for k, a in enumerate(ints) if a)
+    roots = {Fraction(0)} if low else set()
+    ints = ints[low:]
+    if len(ints) == 2:
+        roots.add(Fraction(-ints[0], ints[1]))
+    elif len(ints) > 2:
+        last, first = abs(ints[-1]), abs(ints[0])
+        if max(last, first) > DIVISOR_BOUND:
+            raise CertificationFailed(
+                f"a rational root test needs the divisors of "
+                f"{max(last, first)}, past {DIVISOR_BOUND}")
+        for q in _divisors(last):
+            for n in _divisors(first):
+                if gcd(n, q) == 1:
+                    roots.update(r for r in (Fraction(n, q), Fraction(-n, q))
+                                 if not _horner(ints, r))
+    return roots
+
+
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n >= 1, by trial division."""
+    divs = [1]
+    f = 2
+    while f * f <= n:
+        k = 0
+        while n % f == 0:
+            n //= f
+            k += 1
+        if k:
+            divs = [q * f ** j for q in divs for j in range(k + 1)]
+        f += 1
+    return divs + [q * n for q in divs] if n > 1 else divs
 
 
 @dataclass

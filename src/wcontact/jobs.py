@@ -276,7 +276,10 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
     values = _read_task(op, args)
     for a in spec.args:
         values[a.name] = _resolve(ctx, name, spec, a, values)
-    return call(spec, values)
+    try:
+        return call(spec, values)
+    except UsageError as exc:  # a value only the handler can check
+        raise JobError(f"task {op!r}: {exc.arg}: {exc}") from None
 
 
 def run_job(text: str, include_timing: bool = False) -> Dict[str, Any]:

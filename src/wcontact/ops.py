@@ -76,6 +76,15 @@ def parse_order(text: str) -> TermOrder:
         raise UsageError(str(exc)) from None
 
 
+def known_order(order: Optional[TermOrder], ring) -> Optional[TermOrder]:
+    """The order, if any; one naming a variable outside the ring is a usage
+    error of the 'order' argument."""
+    for v in order.priority if order else ():
+        if v not in ring.variables:
+            raise UsageError(f"{v!r} is not a variable of {ring!r}", "order")
+    return order
+
+
 def parse_point(text: str) -> Dict[str, Fraction]:
     point = {}
     for part in filter(None, text.split(",")):
@@ -141,7 +150,8 @@ ORDER = Arg("order", "order", None)
 
 @op("gb", Arg("ideal", "gens"), ORDER, help="reduced Groebner basis")
 def gb(gens, order):
-    order = order or TermOrder.degrevlex(gens[0].ring.variables)
+    order = known_order(order, gens[0].ring) \
+        or TermOrder.degrevlex(gens[0].ring.variables)
     return {"generators": [poly_json(g, order)
                            for g in gb_buchberger(gens, order)]}
 
@@ -149,7 +159,8 @@ def gb(gens, order):
 @op("nf", Arg("poly", "poly"), Arg("ideal", "gens"), ORDER,
     help="normal form modulo an ideal")
 def nf(poly, gens, order):
-    order = order or TermOrder.degrevlex(gens[0].ring.variables)
+    order = known_order(order, poly.ring) \
+        or TermOrder.degrevlex(gens[0].ring.variables)
     G = gb_buchberger([g.map_to(poly.ring) for g in gens], order)
     return {"normal_form": poly_json(normal_form(poly, G), order)}
 

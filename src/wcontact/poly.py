@@ -411,6 +411,8 @@ class TermOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.priority = tuple(priority)
+        if len(set(self.priority)) < len(self.priority):
+            raise ValueError(f"a variable repeats in the order {self!r}")
 
     @classmethod
     def lex(cls, priority: Iterable[str]) -> "TermOrder":

@@ -497,6 +497,10 @@ MALFORMED = [
     (["delta-inv", "--poly", "y^2+x^4", "--branches", "0"], 2),
     (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "0"], 2),
     (["verify-corr", "--family", FAM, "--ideal", "y", "--samples", "-2"], 2),
+    (["gb", "--vars", "x,y", "--gens", "x,y", "--order", "lex x>x"], 2),
+    (["gb", "--vars", "x,y", "--gens", "x,y", "--order", "lex x>q"], 2),
+    (["nf", "--poly", "x", "--gens", "x,y", "--vars", "x,y",
+      "--order", "degrevlex y>x>z"], 2),
     ("trunc 0", "JobError"),
     ("task a = gb I foo", "JobError"),
     ("task a = nf P I bar", "JobError"),
@@ -510,6 +514,9 @@ MALFORMED = [
     ("task a = chart C extra", "JobError"),
     ("task a = sing I codim 2 x,y", "JobError"),
     ("task a = tjurina P x,x", "JobError"),
+    ("task a = gb I lex x>x", "JobError"),
+    ("task a = gb I lex x>q", "JobError"),
+    ("task a = nf P I degrevlex y>x>z", "JobError"),
     # inputs the library code does not handle
     (["prepare", "--family", FAM, "--trunc", "2"], "Unsupported"),
     (["lift-equiv", "--family", FAM, "--chart", "y^2, x*y, x^2"],
@@ -563,3 +570,22 @@ def test_truncation_below_one_ends_in_time(argv, code):
     assert proc.returncode == code
     assert "must be at least 1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_runtime_never_imports_sympy(tmp_path):
+    """The shipped codim-4 job, whose nested task runs the linear-factor
+    test, and the nested op leave sympy unimported."""
+    runs = [["run", JOB], ["nested", "--eqs", "x*y - s^2", "--ideal",
+                           "s, x*y", "--vars", "x,y,s", "--codim", "1"]]
+    script = "\n".join(
+        ["import sys", "from wcontact.cli import main"]
+        + [f"assert main({argv + ['--out', str(tmp_path / f'{i}.json')]!r})"
+           " == 0" for i, argv in enumerate(runs)]
+        + ["print(sorted(m for m in sys.modules if m.startswith('sympy')))"])
+    env = dict(os.environ, PYTHONPATH=str(PKG_DIR.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "1.json").read_text())[
+        "no_linear_factor_over_Q"] is False

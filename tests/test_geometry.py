@@ -2,18 +2,22 @@
 and nested-singularity structure reports."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from wcontact.errors import PointNotOnScheme
+from wcontact import geometry
+from wcontact.errors import (CertificationFailed, PointNotOnScheme,
+                             UnknownVariable)
 from wcontact.geometry import (AffineScheme, has_linear_factor,
                                nested_singularity_report,
                                singular_locus_ideal, tangent_space_dim,
                                variety_equal)
 from wcontact.groebner import gb_buchberger
 from wcontact.linalg import MatrixQ
-from wcontact.poly import PolyRing, TermOrder
+from wcontact.poly import Poly, PolyRing, TermOrder
 
 R2 = PolyRing(("x", "y"))
 R3 = PolyRing(("x", "y", "z"))
@@ -178,6 +182,89 @@ class TestLinearFactor:
     def test_negative(self):
         assert not has_linear_factor(R2.parse("x^2 + y^2"), ("x", "y"))
         assert not has_linear_factor(R2.parse("x^2 + y^3"), ("x", "y"))
+
+
+R4 = PolyRing(("x", "y", "z", "w"))
+
+
+def _sympy_has_linear_factor(p, span):
+    """The oracle: a factor of total degree 1 in sympy's factor_list."""
+    symbols = sympy.symbols(span)
+    index = [p.ring.index(v) for v in span]
+    expr = sympy.S.Zero + sum(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.prod(s ** e[i] for s, i in zip(symbols, index))
+        for e, c in p.terms.items())
+    _, factors = sympy.factor_list(expr, *symbols)
+    return any(sympy.Poly(f, *symbols).total_degree() == 1
+               for f, _ in factors)
+
+
+def _random_poly(rng, span, degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * R4.nvars
+        for _ in range(rng.randint(0, degree)):
+            e[R4.index(rng.choice(span))] += 1
+        terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Poly(R4, {e: c for e, c in terms.items() if c})
+
+
+class TestLinearFactorAgainstSympy:
+    """The exact rational test against sympy's factorization over Q."""
+
+    @pytest.mark.parametrize("case", [
+        ("(2*x - 3/2*y + 1/2)*(x^2 + y^2 + 1)", "x,y", True),
+        ("(y - 2*z)*(x^2 + y^3 + z)", "x,y,z", True),  # skips x
+        ("(x + 1/3*y + 1)^2*(x^2*y + 2)", "x,y", True),  # repeated
+        ("x^2 - 2", "x,y", False),
+        ("x^2 - 4", "x,y", True),
+        ("x^2 + y^2 + 1", "x,y,z", False),  # z is absent
+        ("(3*z - 1/2*w)*(z*w + x*y - 1)", "x,y,z,w", True),
+        ("x*y*z - w^3", "x,y,z,w", False),
+        ("0", "x,y", False),
+        ("7/3", "x,y", False),
+    ], ids=lambda case: case[0])
+    def test_edge_cases(self, case):
+        text, span, expected = case
+        p, span = R4.parse(text), tuple(span.split(","))
+        assert has_linear_factor(p, span) is expected
+        assert _sympy_has_linear_factor(p, span) is expected
+
+    def test_random_products(self):
+        rng = random.Random(20260)
+        planted = found = 0
+        for _ in range(80):
+            span = tuple("xyzw"[:rng.randint(2, 4)])
+            p = (_random_poly(rng, span, 3, rng.randint(1, 4))
+                 * _random_poly(rng, span, 3, rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                planted += 1
+                p = p * _random_poly(rng, span, 1, rng.randint(1, 4))
+            expected = _sympy_has_linear_factor(p, span)
+            assert has_linear_factor(p, span) is expected, str(p)
+            found += expected
+        assert planted >= 30 and 30 <= found < 80
+
+    def test_variable_outside_span(self):
+        with pytest.raises(UnknownVariable):
+            has_linear_factor(R4.parse("x*y + z"), ("x", "y"))
+
+    def test_past_divisor_bound_fails_in_time(self):
+        """x^2*y + a*y^2 + b with a + b > DIVISOR_BOUND: at y = 1 the rational
+        root test would need the divisors of a + b."""
+        big = geometry.DIVISOR_BOUND
+        p = R4.parse(f"x^2*y + {big + 39}*y^2 + {big + 37}")
+        start = time.monotonic()
+        with pytest.raises(CertificationFailed):
+            has_linear_factor(p, ("x", "y"))
+        assert time.monotonic() - start < 2.0
+
+    def test_past_candidate_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(geometry, "CANDIDATE_BOUND", 1)
+        p = R4.parse("(x - y)*(x - 2*y)")  # roots 0 at y = 0; 1, 2 at y = 1
+        with pytest.raises(CertificationFailed):
+            has_linear_factor(p, ("x", "y"))
 
 
 class TestNestedReports:
