@@ -265,8 +265,8 @@ def lift_contact(F: ContactFamily, ideal_gens: Sequence[Poly],
     g = F.g.map_to(ring)
     graph = f - ring.var(z) * g
     zero = {v: 0 for v in F.E.ring.variables if v not in (z,)}
-    f00 = F.f0().eval({v: 0 for v in F.f0().variables_used()})
-    g00 = F.g0().eval({v: 0 for v in F.g0().variables_used()})
+    f00 = F.f0().constant_term()
+    g00 = F.g0().constant_term()
     gens = [p.map_to(ring) for p in ideal_gens] + [graph]
     return LiftedIdeal(gens, graph, "contact", z, f00 / g00)
 
@@ -277,7 +277,7 @@ def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly],
     if F.kind != "interior":
         raise WrongKind("interior lift requires an interior-kind family")
     E0 = F.at_base_point()
-    if E0.eval({v: 0 for v in E0.variables_used()}) != 0:
+    if E0.constant_term() != 0:
         raise WrongKind("central equation does not vanish at the origin")
     ring0 = ideal_gens[0].ring if ideal_gens else F.E.ring
     ring = ring0.extend(F.E.ring.variables).extend((z,))
@@ -434,7 +434,7 @@ def ideal_equal_localized(a_gens: Sequence[Poly], b_gens: Sequence[Poly],
     """Ideal equality after inverting the unit: mutual membership in the
     extended ring with the relation T*unit = 1."""
     ring = a_gens[0].ring
-    if unit.eval({v: 0 for v in unit.variables_used()}) == 0:
+    if unit.constant_term() == 0:
         raise ValueError("localizing element has zero constant term")
     tname = "T_loc"
     while tname in ring.variables:
@@ -501,7 +501,7 @@ def lift_chart_equivalence(F: ContactFamily,
         raise ValueError("boundary factor must reduce to a constant in x "
                          "on this chart")
     unit = g0
-    if unit.eval({v: 0 for v in unit.variables_used()}) == 0:
+    if unit.constant_term() == 0:
         raise NotAUnit("reduced boundary factor vanishes at the base point")
 
     # surface-side chart: z = sp*x + tp, same (y, x^2) rows

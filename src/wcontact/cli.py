@@ -17,7 +17,6 @@ from .families import ContactFamily
 from .ops import (OPS, REQUIRED, Op, call, nonzero, parse_order, parse_point,
                   positive, public)
 from .poly import PolyRing, TermOrder
-from .series import DEFAULT_TRUNCATION
 
 
 def load_family(path: str) -> ContactFamily:
@@ -101,12 +100,13 @@ def _flags(op: Op):
                               "help": "comma-separated staircase monomials"}
             yield "--order", {}
             yield "--chart-params", {}
-        elif a.kind not in ("trunc", "seed"):  # flags every subcommand has
+        else:
             required = a.default is REQUIRED
             yield f"--{a.name}", {
                 "required": required,
                 "default": None if required else a.default,
-                "type": int if a.kind in ("int", "count") else str}
+                "type": int if a.kind in ("int", "count", "trunc", "seed")
+                else str}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="write the report to this file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timings (non-deterministic)")
@@ -131,7 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, op.help)
         for flag, kwargs in _flags(op):
             p.add_argument(flag, **kwargs)
-    add("run", "execute a job file").add_argument("jobfile")
+    run = add("run", "execute a job file")
+    run.add_argument("jobfile")
+    run.add_argument("--seed", type=int, default=0,
+                     help="replace the job's seed line")
     return parser
 
 

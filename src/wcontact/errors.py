@@ -36,7 +36,9 @@ class UnknownVariable(WContactError):
 
 
 class InfiniteColength(WContactError):
-    """The staircase complement of a leading-term ideal is unbounded."""
+    """A proof of infinite colength: a leading-term ideal has no pure power
+    of some variable, or no power of the maximal ideal lies in a local ideal
+    at the Bezout bound d^n, which a finite colength never exceeds."""
 
 
 class NotAUnit(WContactError):
@@ -48,9 +50,12 @@ class ContactOrderMismatch(WContactError):
 
 
 class CertificationFailed(WContactError):
-    """An exact test could not conclude within its stated bounds: colength
-    certification did not stabilize below the truncation cap, or the
-    linear-factor test went past its divisor or candidate bound."""
+    """An exact test could not conclude within its stated bounds, which says
+    nothing about the input: a colength still uncertified at truncation
+    order 48, below its Bezout bound; a finite staircase with more standard
+    monomials than its limit; a Weierstrass iteration that did not
+    stabilize; or a linear-factor test past its divisor or candidate
+    bound."""
 
 
 class NotIsolated(WContactError):

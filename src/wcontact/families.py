@@ -21,12 +21,11 @@ from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
 class ContactFamily:
     """A family E_lambda(x, y) of curve equations, contact or interior kind."""
 
-    __slots__ = ("E", "kind", "params", "x", "y", "w", "f", "g", "truncation")
+    __slots__ = ("E", "kind", "params", "x", "y", "w", "f", "g")
 
     def __init__(self, E: Poly, params: Sequence[str], kind: str,
                  x: str = "x", y: str = "y",
-                 expected_w: Optional[int] = None,
-                 truncation: Optional[int] = None):
+                 expected_w: Optional[int] = None):
         if kind not in ("contact", "interior"):
             raise ValueError(f"unknown kind {kind!r}")
         self.E = E
@@ -34,7 +33,6 @@ class ContactFamily:
         self.params = tuple(params)
         self.x = x
         self.y = y
-        self.truncation = truncation
         ring = E.ring
         for p in self.params:
             ring.index(p)
@@ -129,14 +127,12 @@ def to_normal_form(F: ContactFamily,
         if c == 0:
             raise NotAUnit("g vanishes identically")
         E = F.E * (Fraction(1) / c)
-        return ContactFamily(E, F.params, "contact", F.x, F.y, F.w,
-                             truncation=F.truncation)
+        return ContactFamily(E, F.params, "contact", F.x, F.y, F.w)
     # the inverse expands only in the variables g involves; truncate there
     small = F.g.variables_used()
     ginv = series_invert(TruncatedSeries(F.g, truncation, small))
     E = truncated_product(F.E, ginv.body, small, truncation)
-    return ContactFamily(E, F.params, "contact", F.x, F.y, F.w,
-                         truncation=truncation)
+    return ContactFamily(E, F.params, "contact", F.x, F.y, F.w)
 
 
 def to_distinguished(F: ContactFamily,
@@ -149,18 +145,15 @@ def to_distinguished(F: ContactFamily,
     F.require_contact()
     small = (F.y,) + F.params
     _, P = weierstrass_prepare_x(F.E, F.w, truncation, x=F.x, small=small)
-    return ContactFamily(P, F.params, "contact", F.x, F.y, F.w,
-                         truncation=truncation)
+    return ContactFamily(P, F.params, "contact", F.x, F.y, F.w)
 
 
 def multiply_unit(F: ContactFamily, u: Poly) -> ContactFamily:
     """Replace E by u*E for a unit u; same curve family, re-decomposed."""
     F.require_contact()
-    u0 = u.subs({v: 0 for v in u.variables_used()})
-    if u0.is_zero():
+    if u.constant_term() == 0:
         raise NotAUnit("u vanishes at the base point")
-    return ContactFamily(u * F.E, F.params, "contact", F.x, F.y, F.w,
-                         truncation=F.truncation)
+    return ContactFamily(u * F.E, F.params, "contact", F.x, F.y, F.w)
 
 
 class StrataPreservingChange:
@@ -212,8 +205,7 @@ def apply_change(F: ContactFamily, phi: StrataPreservingChange,
     E = F.E.subs({F.x: phi.x_image, F.y: phi.y_image})
     if truncation is not None:
         E = truncate_poly(E, (F.x, F.y), truncation)
-    return ContactFamily(E, F.params, "contact", F.x, F.y, F.w,
-                         truncation=truncation or F.truncation)
+    return ContactFamily(E, F.params, "contact", F.x, F.y, F.w)
 
 
 def family_from_basis(E0: Poly, basis: Sequence[Poly],

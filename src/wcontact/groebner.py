@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InfiniteColength
+from .errors import CertificationFailed, InfiniteColength
 from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
                    mono_divides, mono_lcm)
 
@@ -460,8 +460,8 @@ def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
     lead divides, unsorted.
 
     Raises InfiniteColength if some variable has no pure power among the
-    leads, which makes them infinitely many, or if there are more than
-    ``limit``.
+    leads, which makes them infinitely many, and CertificationFailed if
+    there are finitely many but more than ``limit``.
     """
     idx = [ring.index(v) for v in
            (ring.variables if variables is None else variables)]
@@ -477,7 +477,7 @@ def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
             continue
         found.append(e)
         if len(found) > limit:
-            raise InfiniteColength(f"more than {limit} standard monomials")
+            raise CertificationFailed(f"more than {limit} standard monomials")
         for i in idx:
             ne = e[:i] + (e[i] + 1,) + e[i + 1:]
             if ne not in seen:

@@ -19,7 +19,8 @@ A task's operation and arguments are those of the operation table
 'samples 25', then an order ('gb I lex y>x') or a variable list ('tjurina P
 x,y,z').  Every name must be defined on an earlier line than any reference
 to it, and each task needs the arguments its operation reads; both are
-validated before any task runs.
+validated before any task runs.  The trunc line is the truncation order of
+'prepare' tasks; every other order is derived from the input.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .errors import E0NotInIdeal
 from .families import ContactFamily, to_normal_form
 from .linalg import MatrixQ
 from .poly import Exponents, Poly, poly_str
-from .series import (DEFAULT_TRUNCATION, LocalIdeal, TruncatedSeries,
+from .series import (LocalIdeal, TruncatedSeries, _monomials_up_to,
                      series_invert, truncated_product)
 
 
@@ -71,13 +71,12 @@ def _quotient_matrix(columns: List[Poly], col_labels: List[str],
     return MatrixQ(rows, row_labels=row_labels, col_labels=col_labels)
 
 
-def phi_map(F: ContactFamily, I: LocalIdeal,
-            truncation: int = DEFAULT_TRUNCATION) -> PhiReport:
+def phi_map(F: ContactFamily, I: LocalIdeal) -> PhiReport:
     """Phi: v -> v(f_lambda / g_lambda) + I, as a matrix on the coordinate
     partials of the parameter space."""
     F.require_contact()
     _check_base_in_ideal(F, I)
-    N = max(truncation, I.min_series_order())
+    N = I.min_series_order()
     zero = {p: 0 for p in F.params}
     geo = (F.x, F.y)
     g0 = F.g.subs(zero)
@@ -103,13 +102,14 @@ def delta_map(F: ContactFamily, I: LocalIdeal) -> PhiReport:
     return PhiReport.from_matrix(_quotient_matrix(columns, labels, I))
 
 
-def psi_generators(F: ContactFamily,
-                   truncation: int = DEFAULT_TRUNCATION) -> List[Poly]:
+def psi_generators(F: ContactFamily, I: LocalIdeal) -> List[Poly]:
     """The three generators x*df0/dx - w*f0, dE0/dx, dE0/dy of the
-    reparametrization ideal, for the normal form of the central equation."""
+    reparametrization ideal, for the normal form of the central equation;
+    exact modulo I."""
     F.require_contact()
     if not F.g0().is_constant() or F.g0().as_constant() != 1:
-        F = to_normal_form(F, truncation)
+        # the truncation error lies in m^N, and N >= w keeps x^w in E
+        F = to_normal_form(F, max(I.min_series_order(), F.w))
     zero = {p: 0 for p in F.params}
     E0 = F.E.subs(zero)
     f0 = F.f.subs(zero)
@@ -126,15 +126,12 @@ def psi_generators(F: ContactFamily,
     return [g1, g2, g3]
 
 
-def psi_map(F: ContactFamily, I: LocalIdeal,
-            truncation: int = DEFAULT_TRUNCATION) -> MatrixQ:
+def psi_map(F: ContactFamily, I: LocalIdeal) -> MatrixQ:
     """Matrix whose column space is the image in O/I of the ideal generated
     by the three reparametrization generators."""
     _check_base_in_ideal(F, I)
-    I.certify()
-    gens = [g.map_to(I.ring) for g in psi_generators(F, truncation)]
-    j = I._power_degree
-    from .series import _monomials_up_to
+    gens = [g.map_to(I.ring) for g in psi_generators(F, I)]
+    j = I.min_series_order()
     monos = _monomials_up_to(len(I.variables), max(j - 1, 0))
     columns = []
     labels = []
@@ -158,8 +155,8 @@ class StarReport:
 
 
 def check_condition_star(contact_list: Sequence[Tuple[ContactFamily, LocalIdeal]],
-                         interior_list: Sequence[Tuple[ContactFamily, LocalIdeal]] = (),
-                         truncation: int = DEFAULT_TRUNCATION) -> StarReport:
+                         interior_list: Sequence[Tuple[ContactFamily, LocalIdeal]] = ()
+                         ) -> StarReport:
     """Stack Phi blocks (contact entries) and Delta blocks (interior entries)
     into one map T_0(Lambda) -> direct sum of the O/I_i and test surjectivity."""
     entries = list(contact_list) + list(interior_list)
@@ -172,7 +169,7 @@ def check_condition_star(contact_list: Sequence[Tuple[ContactFamily, LocalIdeal]
     if params is None:
         raise ValueError("no entries given")
 
-    blocks = [phi_map(F, I, truncation) for F, I in contact_list]
+    blocks = [phi_map(F, I) for F, I in contact_list]
     blocks += [delta_map(F, I) for F, I in interior_list]
     all_rows = []
     row_labels = []
@@ -209,28 +206,26 @@ class RelaxedReport:
     formulations_agree: bool
 
 
-def check_relaxed_condition(F: ContactFamily, I: LocalIdeal,
-                            truncation: int = DEFAULT_TRUNCATION) -> RelaxedReport:
+def check_relaxed_condition(F: ContactFamily, I: LocalIdeal) -> RelaxedReport:
     """Relaxed nondegeneracy: [Phi | Psi] surjective onto O/I.
 
     Also computed in the equivalent form (Phi surjective onto the quotient by
     the enlarged ideal); the two verdicts are asserted to agree.
     """
-    phi = phi_map(F, I, truncation)
-    psi = psi_map(F, I, truncation)
+    phi = phi_map(F, I)
+    psi = psi_map(F, I)
     stacked = phi.matrix.hstack(psi)
     stacked_rank = stacked.rank()
     dim = phi.quotient_dimension
     surjective = stacked_rank == dim
 
     enlarged = LocalIdeal(list(I.generators)
-                          + [g.map_to(I.ring)
-                             for g in psi_generators(F, truncation)],
-                          I.variables, I.truncation, I.cap).certify()
+                          + [g.map_to(I.ring) for g in psi_generators(F, I)],
+                          I.variables).certify()
     if enlarged.colength == 0:
         phi_onto_enlarged = True
     else:
-        phi2 = phi_map(F, enlarged, truncation)
+        phi2 = phi_map(F, enlarged)
         phi_onto_enlarged = phi2.surjective
     agree = phi_onto_enlarged == surjective
     if not agree:
@@ -247,15 +242,12 @@ def check_relaxed_condition(F: ContactFamily, I: LocalIdeal,
 
 
 def conductor_membership_check(F: ContactFamily,
-                               conductor_gens: Sequence[Poly],
-                               truncation: int = DEFAULT_TRUNCATION) -> bool:
+                               conductor_gens: Sequence[Poly]) -> bool:
     """Experiment hook: does x*df0/dx - w*f0 lie in <E0> + conductor?
 
     The conductor ideal is supplied by the caller; the package does not
     compute conductors.
     """
-    g1 = psi_generators(F, truncation)[0]
-    E0 = F.at_base_point()
-    ideal = LocalIdeal([E0] + list(conductor_gens),
-                       variables=(F.x, F.y), truncation=truncation)
-    return ideal.certify().contains(g1)
+    ideal = LocalIdeal([F.at_base_point()] + list(conductor_gens),
+                       variables=(F.x, F.y))
+    return ideal.contains(psi_generators(F, ideal)[0])

@@ -25,8 +25,8 @@ from .groebner import gb_buchberger, normal_form
 from .nondegeneracy import (check_condition_star, check_relaxed_condition,
                             delta_map, phi_map, psi_map)
 from .poly import Poly, TermOrder, canonical_form
-from .series import (LocalIdeal, delta_invariant, milnor_number,
-                     tjurina_number)
+from .series import (DEFAULT_TRUNCATION, LocalIdeal, delta_invariant,
+                     milnor_number, tjurina_number)
 
 REQUIRED = object()
 GEO = "x,y"  # a vars default: x,y on the command line, (x, y) of a job
@@ -136,15 +136,14 @@ def _lift_report(lifted) -> Dict[str, Any]:
             "base_z": str(lifted.base_z)}
 
 
-def _local(family, ideal, trunc) -> LocalIdeal:
-    return LocalIdeal(ideal, variables=family.geo_vars(), truncation=trunc)
+def _local(family, ideal) -> LocalIdeal:
+    return LocalIdeal(ideal, variables=family.geo_vars())
 
 
 # -- the operations -----------------------------------------------------------
 
 FAMILY = Arg("family", "family")
-TRUNC = Arg("trunc", "trunc")
-IDEAL_ON = (FAMILY, Arg("ideal", "ideal"), TRUNC)  # an ideal of O_{x,y}
+IDEAL_ON = (FAMILY, Arg("ideal", "ideal"))  # an ideal of O_{x,y}
 ORDER = Arg("order", "order", None)
 
 
@@ -165,16 +164,17 @@ def nf(poly, gens, order):
     return {"normal_form": poly_json(normal_form(poly, G), order)}
 
 
-@op("colength", Arg("ideal", "gens"), Arg("vars", "vars", GEO), TRUNC,
+@op("colength", Arg("ideal", "gens"), Arg("vars", "vars", GEO),
     help="certified local colength")
-def colength(gens, vars, trunc):
-    I = LocalIdeal(gens, variables=vars, truncation=trunc).certify()
+def colength(gens, vars):
+    I = LocalIdeal(gens, variables=vars).certify()
     return {"colength": I.colength,
             "quotient_basis": [str(I.ring.monomial(b))
                                for b in I.quotient_basis]}
 
 
-@op("prepare", FAMILY, TRUNC, help="Weierstrass preparation in x")
+@op("prepare", FAMILY, Arg("trunc", "trunc", DEFAULT_TRUNCATION),
+    help="Weierstrass preparation in x")
 def prepare(family, trunc):
     family.require_contact()
     D = to_distinguished(family, trunc)
@@ -183,33 +183,33 @@ def prepare(family, trunc):
 
 
 @op("phi", *IDEAL_ON)
-def phi(family, ideal, trunc):
-    return _map_report(phi_map(family, _local(family, ideal, trunc), trunc))
+def phi(family, ideal):
+    return _map_report(phi_map(family, _local(family, ideal)))
 
 
 @op("delta", *IDEAL_ON)
-def delta(family, ideal, trunc):
-    return _map_report(delta_map(family, _local(family, ideal, trunc)))
+def delta(family, ideal):
+    return _map_report(delta_map(family, _local(family, ideal)))
 
 
 @op("psi", *IDEAL_ON)
-def psi(family, ideal, trunc):
-    M = psi_map(family, _local(family, ideal, trunc), trunc)
+def psi(family, ideal):
+    M = psi_map(family, _local(family, ideal))
     return {"rank": M.rank(), "nrows": M.nrows, "row_labels": M.row_labels}
 
 
 @op("star", *IDEAL_ON)
-def star(family, ideal, trunc):
-    pair = [(family, _local(family, ideal, trunc))]
-    rep = (check_condition_star(pair, (), trunc) if family.kind == "contact"
-           else check_condition_star((), pair, trunc))
+def star(family, ideal):
+    pair = [(family, _local(family, ideal))]
+    rep = (check_condition_star(pair) if family.kind == "contact"
+           else check_condition_star((), pair))
     return _fields(rep, "rank", "target_dimension", "parameter_dimension",
                    "surjective", "relative_dimension")
 
 
 @op("relaxed", *IDEAL_ON)
-def relaxed(family, ideal, trunc):
-    rep = check_relaxed_condition(family, _local(family, ideal, trunc), trunc)
+def relaxed(family, ideal):
+    rep = check_relaxed_condition(family, _local(family, ideal))
     return _fields(rep, "surjective", "phi_rank", "stacked_rank",
                    "quotient_dimension", "enlarged_quotient_dimension")
 
@@ -249,7 +249,7 @@ def lift_prime(family, ideal):
 
 
 @op("verify-corr", FAMILY, Arg("chart-or-ideal", "ideal"),
-    Arg("int", "samples", 25), Arg("seed", "seed"),
+    Arg("int", "samples", 25), Arg("seed", "seed", 0),
     help="membership-equivalence sampling")
 def verify_corr(family, ideal, samples, seed):
     rep = verify_membership_equivalence(family, ideal, samples=samples,

@@ -513,9 +513,10 @@ def _tokenize(text: str):
 def _parse(text: str, ring: PolyRing) -> Poly:
     """Recursive-descent parser for the expression grammar.
 
-    Grammar: integers, rational literals ``p/q``, identifiers,
-    ``+ - * ^ ( )``; ``^`` binds tightest with a nonnegative integer
-    exponent; multiplication is explicit; unary minus is allowed.
+    Grammar: integers, identifiers, ``+ - * / ^ ( )``; ``^`` binds
+    tightest with a nonnegative integer exponent; ``*`` and ``/`` are
+    explicit and associate to the left, and a divisor must be a nonzero
+    constant; unary minus is allowed.
     """
     tokens = _tokenize(text)
     n = len(tokens)
@@ -558,6 +559,13 @@ def _parse(text: str, ring: PolyRing) -> Poly:
             if t == "op" and v == "*":
                 advance()
                 acc = acc * parse_power()
+            elif t == "op" and v == "/":
+                advance()
+                p = peek()[2]
+                divisor = parse_power()
+                if not divisor.is_constant() or divisor.is_zero():
+                    raise ParseError("divisor must be a nonzero constant", p)
+                acc = acc * (Fraction(1) / divisor.constant_term())
             else:
                 return acc
 
@@ -577,16 +585,6 @@ def _parse(text: str, ring: PolyRing) -> Poly:
         t, v, p = peek()
         if t == "int":
             advance()
-            t2, v2, _ = peek()
-            # rational literal: integer / positive integer
-            if t2 == "op" and v2 == "/":
-                advance()
-                t3, v3, p3 = peek()
-                if t3 != "int" or v3 == 0:
-                    raise ParseError("denominator must be a positive integer",
-                                     p3)
-                advance()
-                return ring.const(Fraction(v, v3))
             return ring.const(v)
         if t == "name":
             advance()

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CertificationFailed, ContactOrderMismatch,
-                     InconsistentBranchCount, NotAUnit, NotIsolated,
-                     UsageError)
+                     InconsistentBranchCount, InfiniteColength, NotAUnit,
+                     NotIsolated)
 from .poly import Exponents, Poly, PolyRing, TermOrder, mono_mul
 
 DEFAULT_TRUNCATION = 12
@@ -213,12 +213,7 @@ class LocalIdeal:
     colength and an exact reduction map onto a standard-monomial basis."""
 
     def __init__(self, generators: Sequence[Poly],
-                 variables: Optional[Sequence[str]] = None,
-                 truncation: int = DEFAULT_TRUNCATION,
-                 cap: int = TRUNCATION_CAP):
-        if truncation < 1:
-            # certify doubles the order from here, which 0 or less never ends
-            raise UsageError(f"truncation order {truncation} is below 1")
+                 variables: Optional[Sequence[str]] = None):
         generators = [g for g in generators if not g.is_zero()]
         if not generators:
             raise ValueError("no nonzero generators")
@@ -234,9 +229,13 @@ class LocalIdeal:
                 raise ValueError(
                     f"generator {g} involves non-series variables {sorted(extra)}")
         self.generators = list(generators)
-        self.truncation = truncation
-        self.cap = cap
-        self._certified = False
+        # Bezout: n general combinations of the generators, of degree <= d,
+        # are a system of parameters of local multiplicity <= d^n, so a
+        # finite colength l is at most d^n and m^l lies in the ideal
+        degree = max(g.total_degree() for g in generators)
+        self._bezout = degree ** len(self.variables)
+        self.cap = min(self._bezout, TRUNCATION_CAP)  # the last order tried
+        self.truncation: Optional[int] = None  # the order certified at
         self.colength: Optional[int] = None
         self.quotient_basis: Optional[List[Exponents]] = None
         self._power_degree: Optional[int] = None  # j with m^j contained in I
@@ -253,19 +252,25 @@ class LocalIdeal:
         return tuple(full)
 
     def certify(self) -> "LocalIdeal":
-        """Certify finite colength, retrying with doubled truncation order."""
-        if self._certified:
+        """Certify finite colength, doubling the truncation order up to the
+        cap.  InfiniteColength when the cap is the Bezout bound (a proof),
+        CertificationFailed when it is TRUNCATION_CAP (no conclusion)."""
+        if self.truncation is not None:
             return self
-        N = self.truncation
-        while True:
-            if self._try_certify(N):
-                self.truncation = N
-                self._certified = True
-                return self
-            if N >= self.cap:
+        N = min(DEFAULT_TRUNCATION, self.cap)
+        while not self._try_certify(N):
+            if N < self.cap:
+                N = min(2 * N, self.cap)
+            elif N == self._bezout:
+                raise InfiniteColength(
+                    f"no power of the maximal ideal lies in the ideal at "
+                    f"truncation order {N}, the Bezout bound")
+            else:
                 raise CertificationFailed(
-                    f"colength not certified up to truncation order {N}")
-            N = min(2 * N, self.cap)
+                    f"colength not certified up to truncation order {N}, "
+                    f"below the Bezout bound {self._bezout}")
+        self.truncation = N
+        return self
 
     def _try_certify(self, N: int) -> bool:
         nv = len(self.variables)
@@ -307,19 +312,17 @@ class LocalIdeal:
         if j is None:
             return False
 
-        # exact computation inside O/m^j
-        low_rows = []
-        for lead, row in pivots.items():
-            r = {e: c for e, c in row.items() if deg(e) < j}
-            if r:
-                low_rows.append(r)
-        low_pivots = _linear_ref(low_rows, key)
-        basis = [m for m in monomials if deg(m) < j and m not in low_pivots]
+        # exact computation inside O/m^j: a pivot's lead is its lowest-degree
+        # term, so cutting the fully reduced pivots below degree j gives the
+        # fully reduced echelon form of the image of I in O/m^j
+        rewrite = {lead: {e: c for e, c in row.items() if deg(e) < j}
+                   for lead, row in pivots.items() if deg(lead) < j}
+        basis = [m for m in monomials if deg(m) < j and m not in rewrite]
         basis.sort(key=grkey)
         self._power_degree = j
         self.colength = len(basis)
         self.quotient_basis = [self._unrestrict(m) for m in basis]
-        self._rewrite = low_pivots
+        self._rewrite = rewrite
         return True
 
     def reduce(self, p: Poly) -> Dict[Exponents, Fraction]:
@@ -419,41 +422,38 @@ def _linear_ref(rows: List[Dict[Exponents, Fraction]], key
 
 
 def local_colength(generators: Sequence[Poly],
-                   variables: Optional[Sequence[str]] = None,
-                   truncation: int = DEFAULT_TRUNCATION) -> int:
+                   variables: Optional[Sequence[str]] = None) -> int:
     """Certified colength of <generators> in Q[[variables]]."""
-    return LocalIdeal(generators, variables, truncation).certify().colength
+    return LocalIdeal(generators, variables).certify().colength
 
 
-def milnor_number(F: Poly, variables: Sequence[str] = ("x", "y"),
-                  truncation: int = DEFAULT_TRUNCATION) -> int:
+def milnor_number(F: Poly, variables: Sequence[str] = ("x", "y")) -> int:
     """Colength of the partial-derivative ideal at the origin."""
-    if F.eval({v: 0 for v in F.variables_used()}) != 0:
-        raise NotIsolated("F does not vanish at the origin")
-    partials = [F.partial(v) for v in variables]
-    try:
-        return local_colength(partials, variables, truncation)
-    except CertificationFailed as exc:
-        raise NotIsolated(f"singularity not isolated: {exc}") from exc
+    return _isolated_colength(F, [F.partial(v) for v in variables], variables)
 
 
-def tjurina_number(F: Poly, variables: Sequence[str],
-                   truncation: int = DEFAULT_TRUNCATION) -> int:
+def tjurina_number(F: Poly, variables: Sequence[str]) -> int:
     """Colength of <F, all partials> in the local ring at the origin."""
-    if F.eval({v: 0 for v in F.variables_used()}) != 0:
+    return _isolated_colength(
+        F, [F] + [F.partial(v) for v in variables], variables)
+
+
+def _isolated_colength(F: Poly, gens: List[Poly],
+                       variables: Sequence[str]) -> int:
+    """Colength of a Jacobian-type ideal of F; NotIsolated only from a proof
+    that it is infinite."""
+    if F.constant_term() != 0:
         raise NotIsolated("F does not vanish at the origin")
-    gens = [F] + [F.partial(v) for v in variables]
     try:
-        return local_colength(gens, variables, truncation)
-    except CertificationFailed as exc:
+        return local_colength(gens, variables)
+    except InfiniteColength as exc:
         raise NotIsolated(f"singularity not isolated: {exc}") from exc
 
 
 def delta_invariant(F: Poly, branch_count: int,
-                    variables: Sequence[str] = ("x", "y"),
-                    truncation: int = DEFAULT_TRUNCATION) -> int:
+                    variables: Sequence[str] = ("x", "y")) -> int:
     """delta = (mu + r - 1) / 2 with the branch count r supplied by the caller."""
-    mu = milnor_number(F, variables, truncation)
+    mu = milnor_number(F, variables)
     num = mu + branch_count - 1
     if num % 2:
         raise InconsistentBranchCount(

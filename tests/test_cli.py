@@ -465,6 +465,33 @@ def test_agreement_covers_every_op():
     assert set(AGREEMENT) == set(OPS)
 
 
+def _offered_flags(parser, command):
+    sub = parser._subparsers._group_actions[0].choices[command]
+    return {s for a in sub._actions for s in a.option_strings} \
+        - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_each_flag_is_read(op):
+    """A subcommand offers the flags its argument spec reads, --vars when
+    it reads polynomials in no other ring, and the output flags."""
+    spec = OPS[op]
+    kinds = {a.kind for a in spec.args}
+    read = {f"--{a.name}" for a in spec.args}
+    if kinds & {"chart", "chart-or-ideal"}:
+        read |= {"--chart", "--order", "--chart-params"}
+    if kinds & {"ideal", "gens", "poly"} and \
+            not kinds & {"family", "vars", "listed-vars"}:
+        read.add("--vars")
+    assert _offered_flags(build_parser(), op) == \
+        read | {"--out", "--format", "--timing"}
+
+
+def test_run_flags():
+    assert _offered_flags(build_parser(), "run") == \
+        {"--out", "--format", "--timing", "--seed"}
+
+
 @pytest.mark.parametrize("op", sorted(AGREEMENT))
 def test_front_ends_agree(op, tmp_path):
     """Each operation gives one result object from the command line and
@@ -484,8 +511,10 @@ def test_front_ends_agree(op, tmp_path):
 
 # malformed inputs from both front ends: (argv or job line, exit code)
 MALFORMED = [
-    (["colength", "--gens", "x,y", "--trunc", "0"], 2),
-    (["star", "--family", FAM, "--ideal", "y, x^2", "--trunc", "-1"], 2),
+    (["prepare", "--family", FAM, "--trunc", "0"], 2),
+    (["prepare", "--family", FAM, "--trunc", "-1"], 2),
+    (["milnor", "--poly", "x/y"], 2),
+    (["milnor", "--poly", "x/0"], 2),
     (["gb", "--gens", "x,y", "--vars", "x,y", "--order", "foo"], 2),
     (["colength", "--gens", "0"], 2),
     (["phi", "--family", FAM, "--ideal", "0"], 2),
@@ -502,6 +531,8 @@ MALFORMED = [
     (["nf", "--poly", "x", "--gens", "x,y", "--vars", "x,y",
       "--order", "degrevlex y>x>z"], 2),
     ("trunc 0", "JobError"),
+    ("poly Q = x/y", "ParseError"),
+    ("poly Q = y^2/0", "ParseError"),
     ("task a = gb I foo", "JobError"),
     ("task a = nf P I bar", "JobError"),
     ("task a = gb Z", "JobError"),
@@ -563,12 +594,13 @@ def test_malformed_input_is_typed(case, outcome, tmp_path, capsys):
     (["star", "--family", FAM, "--ideal", "y, x^2", "--trunc", "-1"], 2),
 ], ids=["colength-trunc-0", "star-trunc-minus-1"])
 def test_truncation_below_one_ends_in_time(argv, code):
-    """These used to double a truncation order that never grows."""
+    """colength and star derive their truncation orders, so they refuse
+    --trunc at once instead of doubling an order that never grows."""
     env = dict(os.environ, PYTHONPATH=str(PKG_DIR.parent))
     proc = subprocess.run([sys.executable, "-m", "wcontact", *argv],
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == code
-    assert "must be at least 1" in proc.stderr
+    assert "unrecognized arguments: --trunc" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wcontact.errors import InfiniteColength
+from wcontact.errors import CertificationFailed, InfiniteColength
 from wcontact.groebner import (_Encoding, gb_buchberger, ideal_membership,
                                normal_form, radical_membership, s_polynomial,
-                               standard_monomials)
+                               staircase_complement, standard_monomials)
 from wcontact.poly import Poly, PolyRing, TermOrder, mono_div, mono_divides
 
 R = PolyRing(("x", "y"))
@@ -130,6 +130,11 @@ class TestStandardMonomials:
         G = gb_buchberger([y], LEX_YX)
         with pytest.raises(InfiniteColength):
             standard_monomials(G)
+
+    def test_finite_past_the_limit(self):
+        # 200 * 200 standard monomials: too many to list, but not infinite
+        with pytest.raises(CertificationFailed):
+            staircase_complement([(200, 0), (0, 200)], R)
 
 
 def _random_poly(rng, ring, max_terms=5, max_deg=4):

@@ -7,7 +7,7 @@ import pytest
 
 from wcontact.errors import E0NotInIdeal
 from wcontact.families import (ContactFamily, StrataPreservingChange,
-                               apply_change, multiply_unit)
+                               apply_change, multiply_unit, to_normal_form)
 from wcontact.nondegeneracy import (check_condition_star,
                                     check_relaxed_condition,
                                     conductor_membership_check, delta_map,
@@ -76,7 +76,7 @@ class TestDelta:
 class TestPsi:
     def test_generators_and_relation(self):
         F = ContactFamily.contact(R2.parse("y^2 + x^4"))
-        g1, g2, g3 = psi_generators(F)
+        g1, g2, g3 = psi_generators(F, ideal_yx2(R2))
         assert g1 == R2.parse("-4*y")
         assert g2 == R2.parse("4*x^3")
         assert g3 == R2.parse("2*y")
@@ -139,6 +139,22 @@ class TestRelaxed:
         assert report.stacked_rank == 1
         assert report.quotient_dimension == 2
         assert report.formulations_agree
+
+
+class TestDerivedOrders:
+    def test_nonconstant_g0_above_the_power_degree(self):
+        """With g0 = 1 + x, phi truncates at j = 2 and psi at w = 4; both,
+        and the relaxed verdict, match a normal form taken at order 24."""
+        F = ContactFamily.contact(
+            RST.parse("(y^2+x^4+x^5)+s*x*(y+x^3)+t*(y+x^4)"), ("s", "t"))
+        I = ideal_yx2()
+        assert not F.g0().is_constant()
+        assert F.w > I.min_series_order()
+        deep = to_normal_form(F, 24)
+        assert phi_map(F, I).matrix.rows == phi_map(deep, I).matrix.rows
+        assert psi_map(F, I).rows == psi_map(deep, I).rows
+        assert vars(check_relaxed_condition(F, I)) == \
+            vars(check_relaxed_condition(deep, I))
 
 
 class TestConductor:

@@ -71,9 +71,15 @@ class TestParser:
         assert R.parse("1/2*x") == x * Fraction(1, 2)
         assert R.parse("-3/4") == R.const(Fraction(-3, 4))
 
-    def test_division_only_between_integers(self):
-        with pytest.raises(ParseError):
-            R.parse("x/2")
+    def test_division_by_a_nonzero_constant(self):
+        assert R.parse("y^2/2") == y**2 * Fraction(1, 2)
+        assert R.parse("(x + y/3 + 1)") == x + y * Fraction(1, 3) + 1
+        assert R.parse("x/2/3") == x * Fraction(1, 6)
+        assert R.parse("x/(1+1)") == R.parse("1/2*x")
+        for text in ("x/y", "x/0", "1/(x-x)"):
+            with pytest.raises(ParseError) as err:
+                R.parse(text)
+            assert err.value.position == 2
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):

@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from wcontact.errors import (CertificationFailed, ContactOrderMismatch,
-                             InconsistentBranchCount, NotAUnit, NotIsolated,
-                             UsageError)
+                             InconsistentBranchCount, InfiniteColength,
+                             NotAUnit, NotIsolated)
 from wcontact.poly import Poly, PolyRing
-from wcontact.series import (DEFAULT_TRUNCATION, LocalIdeal, TruncatedSeries,
+from wcontact.series import (LocalIdeal, TruncatedSeries,
                              delta_invariant, local_colength, milnor_number,
                              series_invert, tjurina_number, truncate_poly,
                              truncated_product, weierstrass_prepare_x)
@@ -209,8 +210,7 @@ class TestColength:
         assert local_colength([y - x**2, x**3], ("x", "y")) == 3
 
     def test_quotient_basis(self):
-        I = LocalIdeal([y - x**2, x**3], ("x", "y"),
-                       DEFAULT_TRUNCATION).certify()
+        I = LocalIdeal([y - x**2, x**3], ("x", "y")).certify()
         basis = {I.ring.monomial(b) for b in I.quotient_basis}
         assert {str(b) for b in basis} == {"1", "x", "x^2"}
 
@@ -219,14 +219,45 @@ class TestColength:
         assert local_colength([(1 + x) * y, x**2 + x**5], ("x", "y")) == 2
 
     def test_infinite_colength_fails_certification(self):
-        with pytest.raises(CertificationFailed):
-            LocalIdeal([y], ("x", "y"), truncation=6, cap=12).certify()
+        # a finite colength of <y> would be at most 1^2, so order 1 decides
+        I = LocalIdeal([y], ("x", "y"))
+        with pytest.raises(InfiniteColength):
+            I.certify()
+        assert I.cap == 1
 
-    @pytest.mark.parametrize("truncation", [0, -1])
-    def test_truncation_below_one_rejected(self, truncation):
-        # certify doubles the order from here, so it would never stop
-        with pytest.raises(UsageError):
-            LocalIdeal([x, y], ("x", "y"), truncation=truncation)
+    def test_past_the_truncation_cap_is_no_verdict(self):
+        # A_49: mu = 49 needs order 49, and the Bezout bound 49^2 is past
+        # the cap of 48, so certification stops without a verdict
+        with pytest.raises(CertificationFailed):
+            milnor_number(y**2 + x**50)
+
+    def test_certified_colength_within_the_bezout_bound(self):
+        """Every verdict on a seeded random ideal agrees with the dense
+        oracle at the Bezout bound N = d^2: a finite colength equals the
+        oracle's, and an infinite one shows up as a longer quotient at N + 1
+        than at N, which a colength of at most N would not allow."""
+        rng = random.Random(9)
+        verdicts = {"finite": 0, "infinite": 0}
+        for _ in range(40):
+            gens = [_random_poly(rng, R, rng.randint(1, 3), 2, const=0)
+                    for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            bound = max(g.total_degree() for g in gens) ** 2
+            I = LocalIdeal(gens, ("x", "y"))
+            try:
+                I.certify()
+            except InfiniteColength:
+                assert I.cap == bound
+                assert _dense_colength_oracle(gens, bound + 1) > \
+                    _dense_colength_oracle(gens, bound)
+                verdicts["infinite"] += 1
+                continue
+            assert I.colength <= bound
+            assert I.colength == _dense_colength_oracle(gens, bound)
+            verdicts["finite"] += 1
+        assert min(verdicts.values()) >= 5
 
     def test_unit_invariance(self):
         rng = random.Random(8)
@@ -244,7 +275,7 @@ class TestColength:
             assert local_colength(mod, ("x", "y")) == base
 
     def test_reduce_and_contains(self):
-        I = LocalIdeal([y, x**2], ("x", "y"), DEFAULT_TRUNCATION).certify()
+        I = LocalIdeal([y, x**2], ("x", "y")).certify()
         assert I.contains(y**2 + x**4)
         assert not I.contains(x)
         assert I.reduce_to_poly(x**2 + x + 3) == x + 3
@@ -267,9 +298,8 @@ class TestColength:
             if not gens:
                 continue
             try:
-                I = LocalIdeal(gens, ("x", "y"), truncation=8,
-                               cap=16).certify()
-            except CertificationFailed:
+                I = LocalIdeal(gens, ("x", "y")).certify()
+            except (CertificationFailed, InfiniteColength):
                 continue
             certified += 1
             basis = set(I.quotient_basis)
@@ -294,23 +324,22 @@ class TestColength:
 
 def _dense_colength_oracle(gens, N=10):
     """Independent colength: rank of the span of truncated monomial multiples
-    inside the space of monomials of degree < N, via sympy."""
+    inside the space of monomials of degree < N, via sympy over QQ."""
     monos = [(i, j) for i in range(N) for j in range(N) if i + j < N]
     index = {m: k for k, m in enumerate(monos)}
     rows = []
     for g in gens:
         for a, b in monos:
-            row = [0] * len(monos)
+            row = [QQ(0)] * len(monos)
             nonzero = False
             for e, c in g.terms.items():
                 m = (e[0] + a, e[1] + b)
                 if sum(m) < N:
-                    row[index[m]] += sympy.Rational(c.numerator,
-                                                    c.denominator)
+                    row[index[m]] += QQ(c.numerator, c.denominator)
                     nonzero = True
             if nonzero:
                 rows.append(row)
-    rank = sympy.Matrix(rows).rank()
+    rank = DomainMatrix(rows, (len(rows), len(monos)), QQ).rank()
     return len(monos) - rank
 
 
@@ -323,6 +352,12 @@ class TestInvariants:
     def test_milnor_not_isolated(self):
         with pytest.raises(NotIsolated):
             milnor_number(y**2)
+
+    def test_tjurina_not_isolated_at_the_bezout_bound(self):
+        # <xys, ys, xs, xy> has degree 3 in 3 variables: order 3^3 decides
+        ring = PolyRing(("x", "y", "s"))
+        with pytest.raises(NotIsolated, match="order 27,"):
+            tjurina_number(ring.parse("x*y*s"), ring.variables)
 
     def test_tjurina_surface(self):
         ring = PolyRing(("x", "y", "z"))
