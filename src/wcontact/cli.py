@@ -195,8 +195,17 @@ def _read(a, args, ring: Optional[PolyRing], family) -> Any:
     return value if value is None or kind == "seed" else positive(value)
 
 
+def _refuse(args, message: str) -> int:
+    """Report a usage error of the subcommand on stderr; exit code 2."""
+    args.subparser.print_usage(sys.stderr)
+    print(f"{args.subparser.prog}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # e.g. --trunc on a subcommand that derives its orders
+        return _refuse(args, f"{extra[0]}: not an argument of {args.command}")
     try:
         if args.command == "run":
             with open(args.jobfile) as fh:
@@ -210,10 +219,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = public(call(op, _inputs(op, args)))
             code = 1 if report.get("ok") is False else 0
     except UsageError as exc:
-        args.subparser.print_usage(sys.stderr)
         flag = f"--{exc.arg}: " if exc.arg else ""
-        print(f"{args.subparser.prog}: error: {flag}{exc}", file=sys.stderr)
-        return 2
+        return _refuse(args, f"{flag}{exc}")
     except WContactError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
               args)

@@ -511,6 +511,8 @@ def test_front_ends_agree(op, tmp_path):
 
 # malformed inputs from both front ends: (argv or job line, exit code)
 MALFORMED = [
+    (["colength", "--gens", "x,y", "--trunc", "0"], 2),
+    (["star", "--family", FAM, "--ideal", "y, x^2", "--trunc", "-1"], 2),
     (["prepare", "--family", FAM, "--trunc", "0"], 2),
     (["prepare", "--family", FAM, "--trunc", "-1"], 2),
     (["milnor", "--poly", "x/y"], 2),
@@ -600,7 +602,8 @@ def test_truncation_below_one_ends_in_time(argv, code):
     proc = subprocess.run([sys.executable, "-m", "wcontact", *argv],
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == code
-    assert "unrecognized arguments: --trunc" in proc.stderr
+    assert f"wcontact {argv[0]}: error: --trunc: not an argument of " \
+        f"{argv[0]}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
