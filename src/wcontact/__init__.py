@@ -15,7 +15,7 @@ from .geometry import (AffineScheme, nested_singularity_report,
                        singular_locus_ideal, tangent_space_dim, variety_equal)
 from .groebner import (GroebnerBasis, gb_buchberger, ideal_membership,
                        normal_form, radical_membership, standard_monomials)
-from .linalg import MatrixQ, rank_kernel
+from .linalg import MatrixQ
 from .nondegeneracy import (check_condition_star, check_relaxed_condition,
                             conductor_membership_check, delta_map, phi_map,
                             psi_generators, psi_map)

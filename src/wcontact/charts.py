@@ -509,14 +509,7 @@ def lift_chart_equivalence(F: ContactFamily,
     surf = an_surface(F.w - 1, PolyRing((F.x, F.y, "z"))).map_to(zr)
     z_image = zr.var("sp_") * zr.var(F.x) + zr.var("tp_")
     surf = surf.subs({"z": z_image})
-    reduced = chart.geo_reduce(surf.map_to(zr))
-    sgroups = reduced.coeff_split([zr.index(v) for v in (F.x, F.y)])
-    surface_eqs = []
-    for ge in sorted(sgroups, key=lambda e: chart._key(
-            tuple(e[zr.index(v)] for v in chart.geo_vars)), reverse=True):
-        q = sgroups[ge]
-        if not q.is_zero():
-            surface_eqs.append(q)
+    surface_eqs = chart._coefficients_on_standard(chart.geo_reduce(surf))
 
     pulled = [substitute_with_denominator(
         q, {"sp_": f1, "tp_": f0}, unit).map_to(ring) for q in surface_eqs]

@@ -461,15 +461,18 @@ def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
 
     Raises InfiniteColength if some variable has no pure power among the
     leads, which makes them infinitely many, and CertificationFailed if
-    there are finitely many but more than ``limit``.
+    there are finitely many but more than ``limit``.  A constant lead
+    divides every monomial and leaves none.
     """
+    zero = (0,) * ring.nvars
+    if zero in leads:
+        return []
     idx = [ring.index(v) for v in
            (ring.variables if variables is None else variables)]
     for i in idx:
         if not any(lm[i] > 0 and sum(lm) == lm[i] for lm in leads):
             raise InfiniteColength(
                 f"no pure power of {ring.variables[i]!r} among leading terms")
-    zero = (0,) * ring.nvars
     found, frontier, seen = [], [zero], {zero}
     while frontier:
         e = frontier.pop()

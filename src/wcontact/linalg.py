@@ -1,9 +1,58 @@
-"""Exact rational matrices with rank, kernel and column-space routines."""
+"""The package's one exact elimination over Q, and labelled matrices on it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+
+
+def echelon(rows: Iterable[Dict[Hashable, Fraction]], key: Callable
+            ) -> Dict[Hashable, Dict[Hashable, Fraction]]:
+    """Sparse fully reduced row echelon form of rows given as {column: value}:
+    lead -> monic row in which no other lead occurs, the lead being the
+    column of largest ``key``.  Inserts pivots in the order their leads
+    appear."""
+    pivots: Dict[Hashable, Dict[Hashable, Fraction]] = {}
+    # column index: column -> leads of the pivots whose tail contains it
+    tails: Dict[Hashable, set] = {}
+    for row in rows:
+        row = dict(row)
+        # a reduced pivot adds no lead to the row, so each lead in the row is
+        # eliminated once and in any order
+        for lead in [e for e in row if e in pivots]:
+            f = row.pop(lead)
+            for e, c in pivots[lead].items():
+                if e == lead:
+                    continue
+                s = row.get(e, 0) - f * c
+                if s:
+                    row[e] = s
+                else:
+                    del row[e]
+        if not row:
+            continue
+        lead = max(row, key=key)
+        lc = row[lead]
+        row = {e: c / lc for e, c in row.items()}
+        # back-substitute into the pivots whose tail holds the new lead
+        for plead in tails.pop(lead, ()):
+            prow = pivots[plead]
+            f = prow[lead]
+            for e, c in row.items():
+                s = prow.get(e, 0) - f * c
+                if s:
+                    if e not in prow:
+                        tails.setdefault(e, set()).add(plead)
+                    prow[e] = s
+                else:
+                    del prow[e]
+                    if e != lead:
+                        tails[e].discard(plead)
+        for e in row:
+            if e != lead:
+                tails.setdefault(e, set()).add(lead)
+        pivots[lead] = row
+    return pivots
 
 
 class MatrixQ:
@@ -21,75 +70,23 @@ class MatrixQ:
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "MatrixQ":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ([[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)],
-                       row_labels=self.col_labels, col_labels=self.row_labels)
-
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return MatrixQ([self.rows[i] + other.rows[i] for i in range(self.nrows)],
                        row_labels=self.row_labels)
 
-    def mul_vector(self, v: Sequence) -> List[Fraction]:
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0))
-                for r in self.rows]
-
     def rref(self) -> Tuple["MatrixQ", List[int]]:
         """Reduced row echelon form and the pivot column indices."""
-        m = [row[:] for row in self.rows]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(self.nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return MatrixQ(m, col_labels=self.col_labels), pivots
+        pivots = echelon(({j: x for j, x in enumerate(row) if x}
+                          for row in self.rows), int.__neg__)
+        leads = sorted(pivots)
+        rows = [[pivots[c].get(j, 0) for j in range(self.ncols)] for c in leads]
+        rows += [[0] * self.ncols for _ in range(self.nrows - len(leads))]
+        return MatrixQ(rows, col_labels=self.col_labels), leads
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> List[List[Fraction]]:
-        """Basis of {v : M v = 0}; exact."""
-        rref, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -rref.rows[r][f]
-            basis.append(v)
-        return basis
-
-    def column_space_contains(self, v: Sequence) -> bool:
-        aug = self.hstack(MatrixQ([[x] for x in v]))
-        return aug.rank() == self.rank()
-
     def __repr__(self):
         return f"MatrixQ({self.nrows}x{self.ncols})"
-
-
-def rank_kernel(M: MatrixQ) -> Tuple[int, List[List[Fraction]]]:
-    """Rank and an exact kernel basis; rank + kernel dimension = ncols."""
-    kernel = M.kernel_basis()
-    return M.ncols - len(kernel), kernel

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import E0NotInIdeal
 from .families import ContactFamily, to_normal_form
-from .linalg import MatrixQ
-from .poly import Exponents, Poly, poly_str
+from .linalg import MatrixQ, echelon
+from .poly import Poly, poly_str
 from .series import (LocalIdeal, TruncatedSeries, _monomials_up_to,
                      series_invert, truncated_product)
 
@@ -34,20 +34,14 @@ class PhiReport:
 
     @classmethod
     def from_matrix(cls, M: MatrixQ) -> "PhiReport":
-        rank = M.rank()
-        dim = M.nrows
-        coker = []
-        if rank < dim:
-            probe = M
-            for i in range(dim):
-                indicator = [[Fraction(1 if r == i else 0)] for r in range(dim)]
-                cand = probe.hstack(MatrixQ(indicator))
-                if cand.rank() > probe.rank():
-                    probe = cand
-                    coker.append(M.row_labels[i] if M.row_labels else str(i))
-                if probe.rank() == dim:
-                    break
-        return cls(M, rank, dim, rank == dim, coker)
+        # e_i is independent of the columns and e_0..e_(i-1) exactly when no
+        # column-space vector has its last nonzero entry at i: when i leads
+        # no pivot of the columns, echeloned with the largest row leading
+        leads = echelon(({i: row[j] for i, row in enumerate(M.rows) if row[j]}
+                         for j in range(M.ncols)), int.__pos__)
+        coker = [M.row_labels[i] if M.row_labels else str(i)
+                 for i in range(M.nrows) if i not in leads]
+        return cls(M, M.nrows - len(coker), M.nrows, not coker, coker)
 
 
 def _check_base_in_ideal(F: ContactFamily, I: LocalIdeal):
@@ -178,12 +172,8 @@ def check_condition_star(contact_list: Sequence[Tuple[ContactFamily, LocalIdeal]
             all_rows.append(row)
             label = b.matrix.row_labels[i] if b.matrix.row_labels else str(i)
             row_labels.append(f"[{bi}] {label}")
-    if all_rows:
-        stacked = MatrixQ(all_rows, row_labels=row_labels,
-                          col_labels=[f"d/d{p}" for p in params])
-        rank = stacked.rank()
-    else:
-        rank = 0
+    rank = MatrixQ(all_rows, row_labels=row_labels,
+                   col_labels=[f"d/d{p}" for p in params]).rank()
     target = sum(b.quotient_dimension for b in blocks)
     total_length = sum(I.certify().colength for _, I in entries)
     return StarReport(

@@ -91,7 +91,7 @@ def parse_point(text: str) -> Dict[str, Fraction]:
         name, _, val = part.partition("=")
         try:
             point[name.strip()] = Fraction(val.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"{part.strip()!r} is not name=rational") from None
     return point
 
@@ -280,6 +280,10 @@ def sing(eqs, vars, codim):
     Arg("int", "codim", None), Arg("point", "point", {}),
     help="tangent space dimension at a point")
 def tangent(eqs, vars, codim, point):
+    for v in point:
+        if v not in vars:
+            raise UsageError(f"{v!r} is not one of the variables "
+                             f"{', '.join(vars)}", "point")
     return {"tangent_dimension":
             tangent_space_dim(AffineScheme(vars, eqs, codim), point)}
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (CertificationFailed, ContactOrderMismatch,
                      InconsistentBranchCount, InfiniteColength, NotAUnit,
                      NotIsolated)
+from .linalg import echelon
 from .poly import Exponents, Poly, PolyRing, TermOrder, mono_mul
 
 DEFAULT_TRUNCATION = 12
@@ -300,7 +301,7 @@ class LocalIdeal:
                     rows.append({mono_mul(m, e): c for e, c in g.items()
                                  if dm + deg(e) <= N})
 
-        pivots = _linear_ref(rows, key)
+        pivots = echelon(rows, key)
         # smallest j such that every degree-j monomial is a pivot: its tail
         # then lies in m^(j+1), so m^j is contained in I + m^(j+1) and hence
         # in I by Nakayama
@@ -372,53 +373,6 @@ def _monomials_up_to(nvars: int, N: int) -> List[Exponents]:
     for _ in range(nvars):
         monos = [m + (k,) for m in monos for k in range(N + 1 - sum(m))]
     return monos
-
-
-def _linear_ref(rows: List[Dict[Exponents, Fraction]], key
-                ) -> Dict[Exponents, Dict[Exponents, Fraction]]:
-    """Sparse fully reduced row echelon form: lead -> monic row in which no
-    other lead occurs.  Inserts pivots in the order their leads appear."""
-    pivots: Dict[Exponents, Dict[Exponents, Fraction]] = {}
-    # column index: monomial -> leads of the pivots whose tail contains it
-    tails: Dict[Exponents, set] = {}
-    for row in rows:
-        row = dict(row)
-        # a reduced pivot adds no lead to the row, so each lead in the row is
-        # eliminated once and in any order
-        for lead in [e for e in row if e in pivots]:
-            f = row.pop(lead)
-            for e, c in pivots[lead].items():
-                if e == lead:
-                    continue
-                s = row.get(e, 0) - f * c
-                if s:
-                    row[e] = s
-                else:
-                    del row[e]
-        if not row:
-            continue
-        lead = max(row, key=key)
-        lc = row[lead]
-        row = {e: c / lc for e, c in row.items()}
-        # back-substitute into the pivots whose tail holds the new lead
-        for plead in tails.pop(lead, ()):
-            prow = pivots[plead]
-            f = prow[lead]
-            for e, c in row.items():
-                s = prow.get(e, 0) - f * c
-                if s:
-                    if e not in prow:
-                        tails.setdefault(e, set()).add(plead)
-                    prow[e] = s
-                else:
-                    del prow[e]
-                    if e != lead:
-                        tails[e].discard(plead)
-        for e in row:
-            if e != lead:
-                tails.setdefault(e, set()).add(lead)
-        pivots[lead] = row
-    return pivots
 
 
 def local_colength(generators: Sequence[Poly],

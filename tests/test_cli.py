@@ -523,6 +523,8 @@ MALFORMED = [
     (["sing", "--eqs", "0", "--vars", "x,y", "--codim", "1"], 2),
     (["sing", "--eqs", "x*y", "--vars", "x,y", "--codim", "-1"], 2),
     (["tangent", "--eqs", "x*y", "--vars", "x,y", "--point", "x=a"], 2),
+    (["tangent", "--eqs", "x^2-y", "--vars", "x,y", "--point", "x=1/0"], 2),
+    (["tangent", "--eqs", "x*y", "--vars", "x,y", "--point", "q=1"], 2),
     (["prepare", "--family", "vars x\ny^2+x^4\n"], 2),
     (["prepare", "--family", "kind weird\ny^2+x^4\n"], 2),
     (["delta-inv", "--poly", "y^2+x^4", "--branches", "0"], 2),
@@ -542,6 +544,8 @@ MALFORMED = [
     ("task a = phi F Z", "JobError"),
     ("task a = sing I codim 0", "JobError"),
     ("task a = tangent I point x=a", "JobError"),
+    ("task a = tangent I point x=1/0", "JobError"),
+    ("task a = tangent I point q=1", "JobError"),
     ("task a = delta-inv P 0", "JobError"),
     ("task a = verify-corr F I samples 0", "JobError"),
     ("task a = chart C extra", "JobError"),

@@ -16,7 +16,6 @@ from wcontact.geometry import (AffineScheme, has_linear_factor,
                                singular_locus_ideal, tangent_space_dim,
                                variety_equal)
 from wcontact.groebner import gb_buchberger
-from wcontact.linalg import MatrixQ
 from wcontact.poly import Poly, PolyRing, TermOrder
 
 R2 = PolyRing(("x", "y"))

@@ -126,6 +126,11 @@ class TestStandardMonomials:
         G = gb_buchberger([x, y], LEX_YX)
         assert standard_monomials(G).dimension == 1
 
+    def test_unit_ideal(self):
+        # the constant lead divides every monomial
+        q = standard_monomials(gb_buchberger([R.const(1)], LEX_YX))
+        assert q.dimension == 0 and q.monomials == []
+
     def test_infinite(self):
         G = gb_buchberger([y], LEX_YX)
         with pytest.raises(InfiniteColength):

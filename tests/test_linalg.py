@@ -6,51 +6,52 @@ from fractions import Fraction
 
 import sympy
 
-from wcontact.linalg import MatrixQ, rank_kernel
+from wcontact.linalg import MatrixQ
+from wcontact.nondegeneracy import PhiReport
 
 
 class TestBasics:
     def test_identity_rank(self):
         M = MatrixQ([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        rank, kernel = rank_kernel(M)
-        assert rank == 3 and kernel == []
+        R, pivots = M.rref()
+        assert M.rank() == 3 and R.rows == M.rows and pivots == [0, 1, 2]
 
     def test_zero_matrix(self):
         M = MatrixQ([[0, 0, 0], [0, 0, 0]])
-        rank, kernel = rank_kernel(M)
-        assert rank == 0 and len(kernel) == 3
+        assert M.rank() == 0
+        R, pivots = M.rref()
+        assert R.rows == M.rows and pivots == []
 
     def test_dependent_column(self):
-        M = MatrixQ([[1, 0, 1], [0, 1, 1]])
-        rank, kernel = rank_kernel(M)
-        assert rank == 2
-        assert len(kernel) == 1
-        v = kernel[0]
-        assert M.mul_vector(v) == [0, 0]
-        # kernel vector proportional to (1, 1, -1)
-        scale = v[0]
-        assert [x / scale for x in v] == [1, 1, -1]
+        M = MatrixQ([[2, 0, 2], [1, 1, 2]])
+        assert M.rank() == 2
+        R, pivots = M.rref()
+        assert R.rows == [[1, 0, 1], [0, 1, 1]] and pivots == [0, 1]
 
-    def test_kernel_vectors_exact(self):
-        M = MatrixQ([[Fraction(1, 3), Fraction(2, 7)],
-                     [Fraction(2, 3), Fraction(4, 7)]])
-        for v in M.kernel_basis():
-            assert M.mul_vector(v) == [0, 0]
-
-    def test_column_space_contains(self):
-        M = MatrixQ([[1, 0], [0, 1], [1, 1]])
-        assert M.column_space_contains([1, 2, 3])
-        assert not M.column_space_contains([0, 0, 1])
-
-    def test_hstack_and_transpose(self):
-        M = MatrixQ([[1, 2], [3, 4]])
+    def test_hstack(self):
+        M = MatrixQ([[1, 2], [3, 4]], row_labels=["a", "b"])
         N = M.hstack(MatrixQ([[5], [6]]))
         assert N.ncols == 3 and N.rows[0] == [1, 2, 5]
-        assert M.transpose().rows == [[1, 3], [2, 4]]
+        assert N.row_labels == ["a", "b"]
 
 
 def _sympy_rank(rows):
     return sympy.Matrix(rows).rank()
+
+
+def _random_rows(rng, nr, nc):
+    """Rational entries, about half of them zero, with a zero row or a zero
+    column now and then."""
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < 0.5 else Fraction(0) for _ in range(nc)]
+            for _ in range(nr)]
+    if nr and rng.random() < 0.2:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+    if nc and rng.random() < 0.2:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
 
 
 class TestSympyCrossCheck:
@@ -66,12 +67,7 @@ class TestSympyCrossCheck:
             nr, nc = rng.randint(1, 4), rng.randint(1, 4)
             rows = [[rng.randint(-2, 2) for _ in range(nc)]
                     for _ in range(nr)]
-            M = MatrixQ(rows)
-            assert M.rank() == _sympy_rank(rows)
-            rank, kernel = rank_kernel(M)
-            assert rank + len(kernel) == nc
-            for v in kernel:
-                assert M.mul_vector(v) == [0] * nr
+            assert MatrixQ(rows).rank() == _sympy_rank(rows)
 
     def test_random_rational_entries(self):
         rng = random.Random(7)
@@ -81,3 +77,55 @@ class TestSympyCrossCheck:
             assert MatrixQ(rows).rank() == \
                 sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                                for x in r] for r in rows]).rank()
+
+    def test_rref_matches_sympy(self):
+        """Matrix and pivots, on empty matrices, zero rows and zero columns
+        too; both are unique."""
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            nr, nc = rng.randint(0, 7), rng.randint(0, 7)
+            rows = _random_rows(rng, nr, nc) if nr else []
+            R, pivots = MatrixQ(rows).rref()
+            S, spivots = sympy.Matrix(
+                nr, nc if nr else 0,
+                [sympy.Rational(x.numerator, x.denominator)
+                 for row in rows for x in row]).rref()
+            assert pivots == list(spivots)
+            assert R.rows == [[Fraction(int(x.p), int(x.q)) for x in row]
+                              for row in S.tolist()]
+
+
+def _greedy_cokernel(M: MatrixQ):
+    """The unit vectors e_i, in row order, that the column space and the
+    unit vectors picked before do not span: add one unit column at a time
+    and keep it when the rank grows."""
+    coker = []
+    probe = M
+    for i in range(M.nrows):
+        if probe.rank() == M.nrows:
+            break
+        unit = MatrixQ([[Fraction(1 if r == i else 0)]
+                        for r in range(M.nrows)])
+        cand = probe.hstack(unit)
+        if cand.rank() > probe.rank():
+            probe = cand
+            coker.append(M.row_labels[i] if M.row_labels else str(i))
+    return coker
+
+
+class TestCokernel:
+    def test_matches_greedy_loop(self):
+        rng = random.Random(1018)
+        for n in range(1000):
+            nr, nc = rng.randint(1, 7), rng.randint(0, 7)
+            labels = [f"m{i}" for i in range(nr)] if n % 2 else None
+            M = MatrixQ(_random_rows(rng, nr, nc), row_labels=labels)
+            rep = PhiReport.from_matrix(M)
+            assert rep.cokernel_monomials == _greedy_cokernel(M)
+            assert rep.rank == M.rank() == nr - len(rep.cokernel_monomials)
+            assert rep.surjective == (rep.rank == nr)
+
+    def test_empty_map(self):
+        rep = PhiReport.from_matrix(MatrixQ([]))
+        assert (rep.rank, rep.quotient_dimension, rep.surjective,
+                rep.cokernel_monomials) == (0, 0, True, [])
