@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NotAUnit, SamplingFailed, WrongKind
+from .errors import InconsistentResult, NotAUnit, SamplingFailed, WrongKind
 from .families import ContactFamily
 from .groebner import (GroebnerBasis, gb_buchberger, normal_form,
                        staircase_complement)
@@ -491,7 +491,7 @@ def lift_chart_equivalence(F: ContactFamily,
         groups = red.coeff_split(gidx)
         bad = [g for g in groups if g not in (x_mono, zero_mono)]
         if bad:
-            raise AssertionError("reduction left the chart's standard span")
+            raise InconsistentResult("reduction left the chart's standard span")
         return (groups.get(x_mono, ring.zero()),
                 groups.get(zero_mono, ring.zero()))
 

@@ -49,6 +49,10 @@ class ContactOrderMismatch(WContactError):
     """The x-order of E(x, 0) does not match the requested contact order."""
 
 
+class InconsistentResult(WContactError):
+    """Two exact results that must agree did not: a fault of the program."""
+
+
 class CertificationFailed(WContactError):
     """An exact test could not conclude within its stated bounds, which says
     nothing about the input: a colength still uncertified at truncation

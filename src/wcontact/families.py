@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import NotAUnit, NotWContact, WrongKind
+from .errors import InconsistentResult, NotAUnit, NotWContact, WrongKind
 from .poly import Poly, PolyRing
 from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
                      truncate_poly, truncated_product,
@@ -70,7 +70,7 @@ class ContactFamily:
         diff = E - E_boundary
         yi = ring.index(y)
         if any(e[yi] == 0 for e in diff.terms):
-            raise AssertionError("decomposition failed: remainder not divisible by y")
+            raise InconsistentResult("decomposition failed: remainder not divisible by y")
         self.f = Poly(ring, {tuple(k - 1 if i == yi else k for i, k in enumerate(e)): c
                              for e, c in diff.terms.items()})
 

@@ -27,8 +27,8 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificationFailed, InfiniteColength
-from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
-                   mono_divides, mono_lcm)
+from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_divides,
+                   mono_lcm)
 
 
 Row = Dict[Exponents, int]
@@ -85,6 +85,10 @@ class _Encoding:
 
     def pack(self, e: Exponents) -> int:
         return sum(map(mul, e, self.weights))
+
+    def repack(self, row: Packed, old: "_Encoding") -> Packed:
+        """A row packed by ``old``, packed by this encoding."""
+        return {self.pack(old.unpack(m)): c for m, c in row.items()}
 
     def exponent_fields(self, m: int) -> int:
         """The int whose fields are the exponents of m: m itself under lex,
@@ -161,15 +165,11 @@ class _Reducer:
         re-encoded too."""
         old, new = self.code, self.code.widened()
         self.code = new
-
-        def recode(r: Packed) -> Packed:
-            return {new.pack(old.unpack(m)): c for m, c in r.items()}
-
         self.leads[:] = map(new.pack, self.exps)
         self._divs[:] = map(new.exponent_fields, self.leads)
-        self.rows[:] = map(recode, self.rows)
+        self.rows[:] = [new.repack(r, old) for r in self.rows]
         self._seen.clear()
-        return recode(row)
+        return new.repack(row, old)
 
     def _lookup(self, m: int) -> list:
         """[index of the first lead dividing m or -1, leads tried,
@@ -311,19 +311,6 @@ class QuotientBasis:
         self.dimension = len(monomials)
 
 
-def _lead(terms: Dict[Exponents, object], key) -> Exponents:
-    return max(terms, key=key)
-
-
-def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    key = order.key_function(f.ring)
-    lf, lg = _lead(f.terms, key), _lead(g.terms, key)
-    lcm = mono_lcm(lf, lg)
-    mf = f.ring.monomial(mono_div(lcm, lf), Fraction(1) / f.terms[lf])
-    mg = f.ring.monomial(mono_div(lcm, lg), Fraction(1) / g.terms[lg])
-    return mf * f - mg * g
-
-
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     """Exact remainder over Q of p under full division by G; p - result lies
     in <G>."""
@@ -351,12 +338,15 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     The basis is kept as primitive integer rows: denominators are cleared
     once on input and each row is divided by its integer content when it
     enters the basis.  S-polynomials and reductions are fraction-free, by
-    the same kernel that ``normal_form`` uses.  Pairs are selected by the
-    sugar strategy and pruned by the Gebauer-Moeller update (criteria M, F
-    and B and the coprime-lead criterion), run once for each new basis
-    element; an element whose lead a newer lead divides gets no new pairs.
-    With ``stop_at_unit`` the computation returns the basis {1} as soon as a
-    constant enters the basis.
+    the same kernel that ``normal_form`` uses.  The input enters first, in
+    increasing lead order (Giovini et al., "One sugar cube, please", ISSAC
+    1991): each generator is reduced by the smaller leads before it divides
+    others, so no large unreduced input scales every later division.  Pairs
+    are then selected by the sugar strategy and pruned by the Gebauer-Moeller
+    update (criteria M, F and B and the coprime-lead criterion), run once for
+    each new basis element; an element whose lead a newer lead divides gets
+    no new pairs.  With ``stop_at_unit`` the computation returns the basis
+    {1} as soon as a constant enters the basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -401,12 +391,21 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
         active.append(h)
         return not any(lh)
 
+    rows = [g.primitive_terms()[0] for g in gens]
+    code = basis.code
+    packed = [basis.encode(row) for row in rows]
+    if basis.code is not code:  # an encode widened: pack all by the last one
+        packed = [basis.encode(row) for row in rows]
+    pending = sorted(zip(packed, map(Poly.total_degree, gens)),
+                     key=lambda p: max(p[0]))
     unit_found = False
-    for g in gens:
-        row = basis.reduce(basis.encode(g.primitive_terms()[0]))[0]
-        if row and add_row(row, g.total_degree()):
-            unit_found = True
-            break
+    while pending and not unit_found:
+        code = basis.code
+        row, sugar = pending.pop(0)
+        row = basis.reduce(row)[0]
+        if basis.code is not code:  # the reduce widened: re-pack the rest
+            pending = [(basis.code.repack(r, code), s) for r, s in pending]
+        unit_found = bool(row) and add_row(row, sugar)
 
     while pairs and not unit_found:
         (_, _, lcm), i, j = heapq.heappop(pairs)

@@ -88,9 +88,11 @@ def known_order(order: Optional[TermOrder], ring) -> Optional[TermOrder]:
 def parse_point(text: str) -> Dict[str, Fraction]:
     point = {}
     for part in filter(None, text.split(",")):
-        name, _, val = part.partition("=")
+        name, _, val = map(str.strip, part.partition("="))
+        if name in point:
+            raise UsageError(f"{name!r} is given twice")
         try:
-            point[name.strip()] = Fraction(val.strip())
+            point[name] = Fraction(val)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{part.strip()!r} is not name=rational") from None
     return point

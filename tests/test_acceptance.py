@@ -18,13 +18,13 @@ from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, multiply_unit)
 from wcontact.geometry import (AffineScheme, singular_locus_ideal,
                                variety_equal)
-from wcontact.groebner import (gb_buchberger, normal_form, s_polynomial,
-                               standard_monomials)
+from wcontact.groebner import gb_buchberger, normal_form, standard_monomials
 from wcontact.nondegeneracy import check_condition_star, phi_map
 from wcontact.errors import NotIsolated
 from wcontact.poly import Poly, PolyRing, TermOrder
 from wcontact.series import (LocalIdeal, delta_invariant, local_colength,
                              milnor_number, tjurina_number)
+from test_groebner import s_polynomial
 
 RST = PolyRing(("x", "y", "s", "t"))
 GEO = PolyRing(("x", "y"))

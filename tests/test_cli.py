@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import wcontact
+from wcontact.charts import GroebnerStratumChart
 from wcontact.cli import build_parser, load_family, main
 from wcontact.errors import JobError, ParseError
 from wcontact.jobs import parse_job, run_job
@@ -525,6 +526,8 @@ MALFORMED = [
     (["tangent", "--eqs", "x*y", "--vars", "x,y", "--point", "x=a"], 2),
     (["tangent", "--eqs", "x^2-y", "--vars", "x,y", "--point", "x=1/0"], 2),
     (["tangent", "--eqs", "x*y", "--vars", "x,y", "--point", "q=1"], 2),
+    (["tangent", "--eqs", "x^2-y", "--vars", "x,y", "--point", "x=5,x=1,y=1"],
+     2),
     (["prepare", "--family", "vars x\ny^2+x^4\n"], 2),
     (["prepare", "--family", "kind weird\ny^2+x^4\n"], 2),
     (["delta-inv", "--poly", "y^2+x^4", "--branches", "0"], 2),
@@ -546,6 +549,7 @@ MALFORMED = [
     ("task a = tangent I point x=a", "JobError"),
     ("task a = tangent I point x=1/0", "JobError"),
     ("task a = tangent I point q=1", "JobError"),
+    ("task a = tangent I point x=5,x=1,y=1", "JobError"),
     ("task a = delta-inv P 0", "JobError"),
     ("task a = verify-corr F I samples 0", "JobError"),
     ("task a = chart C extra", "JobError"),
@@ -609,6 +613,19 @@ def test_truncation_below_one_ends_in_time(argv, code):
     assert f"wcontact {argv[0]}: error: --trunc: not an argument of " \
         f"{argv[0]}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_inconsistent_result_exits_1(tmp_path, capsys, monkeypatch):
+    """A failed internal consistency check (here: a chart reduction that
+    leaves the chart's standard span) is a typed error with exit 1."""
+    monkeypatch.setattr(GroebnerStratumChart, "geo_reduce", lambda self, p: p)
+    out = tmp_path / "r.json"
+    assert main(["lift-equiv", "--family", FAM, "--chart", "y, x^2",
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    VALIDATOR.validate(data)
+    assert data["error"]["type"] == "InconsistentResult"
 
 
 def test_runtime_never_imports_sympy(tmp_path):

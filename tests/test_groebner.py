@@ -1,20 +1,37 @@
 """Buchberger bases, normal forms, membership and standard monomials."""
 
+import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import wcontact
+from wcontact import groebner
 from wcontact.errors import CertificationFailed, InfiniteColength
 from wcontact.groebner import (_Encoding, gb_buchberger, ideal_membership,
-                               normal_form, radical_membership, s_polynomial,
+                               normal_form, radical_membership,
                                staircase_complement, standard_monomials)
-from wcontact.poly import Poly, PolyRing, TermOrder, mono_div, mono_divides
+from wcontact.jobs import parse_job, run_task
+from wcontact.poly import (Poly, PolyRing, TermOrder, mono_div, mono_divides,
+                           mono_lcm)
 
 R = PolyRing(("x", "y"))
 x, y = R.var("x"), R.var("y")
 LEX_YX = TermOrder.lex(("y", "x"))
+
+
+def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
+    """The S-polynomial over Q, written from its definition: the oracle of
+    Buchberger's criterion for the fraction-free one inside the kernel."""
+    key = order.key_function(f.ring)
+    lf, lg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = mono_lcm(lf, lg)
+    mf = f.ring.monomial(mono_div(lcm, lf), Fraction(1) / f.terms[lf])
+    mg = f.ring.monomial(mono_div(lcm, lg), Fraction(1) / g.terms[lg])
+    return mf * f - mg * g
 
 
 class TestBuchberger:
@@ -338,6 +355,9 @@ class TestPackedMonomials:
         (TEN, "lex", TEN, ["x - y^10 - y"], ["x^7 + x*y", "x^3*z"]),
         (SIX, "lex", ("n", "m", "l", "k", "t", "s"),
          ["n - s^100*t", "m - n^3", "l^2 - k"], ["m^4*l^5", "n^2*m"]),
+        # an input reduced to a row wider than a field (x^2 - z by x - y^20
+        # leaves y^40) while the input x^3 - y is still pending
+        (TEN, "lex", TEN, ["x^3 - y", "x^2 - z", "x - y^20"], ["x^4", "y^41"]),
     ]
 
     @pytest.mark.parametrize("names,kind,priority,gens,probes", OVERFLOW_CASES)
@@ -347,3 +367,74 @@ class TestPackedMonomials:
         _assert_matches_sympy([ring.parse(g) for g in gens],
                               TermOrder(kind, priority),
                               [ring.parse(p) for p in probes])
+
+
+class TestInputOrder:
+    """The input enters Buchberger's algorithm in increasing lead order, so
+    the reduced basis, term for term, does not depend on the order of the
+    generators, and the codim-4 singular locus keeps small coefficients."""
+
+    @staticmethod
+    def _one_basis_for_every_order(gens, order):
+        first = [g.terms for g in gb_buchberger(gens, order)]
+        for perm in itertools.permutations(gens):
+            assert [g.terms for g in gb_buchberger(list(perm), order)] == first
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    def test_random_ideals(self, seed, kind):
+        rng = random.Random(seed)
+        ring = PolyRing(("x", "y", "z"))
+        gens = [g for g in (_random_rational_poly(rng, ring)
+                            for _ in range(4)) if g]
+        self._one_basis_for_every_order(
+            gens, TermOrder(kind, rng.sample(ring.variables, 3)))
+
+    @pytest.mark.parametrize("names,kind,priority,gens,probes",
+                             TestPackedMonomials.OVERFLOW_CASES)
+    def test_overflow_ideals(self, names, kind, priority, gens, probes):
+        ring = PolyRing(names)
+        self._one_basis_for_every_order([ring.parse(g) for g in gens],
+                                        TermOrder(kind, priority))
+
+    def test_a_widening_reduce_re_encodes_the_pending_input(self,
+                                                            monkeypatch):
+        names, kind, priority, gens, _ = TestPackedMonomials.OVERFLOW_CASES[-1]
+        ring = PolyRing(names)
+        widened = []
+        reduce = groebner._Reducer.reduce
+
+        def recording(self, row):
+            code = self.code
+            result = reduce(self, row)
+            widened.append(self.code is not code)
+            return result
+
+        monkeypatch.setattr(groebner._Reducer, "reduce", recording)
+        gb_buchberger([ring.parse(g) for g in gens], TermOrder(kind, priority))
+        # the first reductions are the inputs'; one of them widens while
+        # a later input is still pending
+        assert any(widened[:len(gens) - 1])
+
+    def test_codim4_singular_locus_coefficients_stay_small(self, monkeypatch):
+        job = (pathlib.Path(wcontact.__file__).parent / "data" / "codim4.job")
+        ctx = parse_job(job.read_text())
+        for name, op, args in ctx.tasks:
+            if name in ("equations", "singular_locus"):
+                ctx.task_results[name] = run_task(ctx, name, op, args)
+        gens = ctx.task_results["singular_locus"]["_polys"]
+        assert len(gens) == 17
+        bits = []
+        reduce = groebner._Reducer.reduce
+
+        def recording(self, row):
+            rem, mult = reduce(self, row)
+            bits.append(max(abs(c).bit_length()
+                            for c in (mult, *rem.values())))
+            return rem, mult
+
+        monkeypatch.setattr(groebner._Reducer, "reduce", recording)
+        G = gb_buchberger(gens, TermOrder.degrevlex(gens[0].ring.variables))
+        assert len(G) == 32
+        # with the input in caller order the largest was 5,700 bits
+        assert max(bits) <= 256
