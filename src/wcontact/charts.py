@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InconsistentResult, NotAUnit, SamplingFailed, WrongKind
+from .errors import (InconsistentResult, NotAUnit, SamplingFailed,
+                     UnknownVariable, WrongKind)
 from .families import ContactFamily
 from .groebner import (GroebnerBasis, gb_buchberger, normal_form,
                        staircase_complement)
@@ -189,15 +190,6 @@ class GroebnerStratumChart:
                 out.append(coeff)
         return out
 
-    def specialize(self, point: Dict[str, Fraction]) -> List[Poly]:
-        """Generators at a rational chart point, as polynomials in x, y."""
-        geo_ring = PolyRing(self.geo_vars)
-        out = []
-        for g in self.generic_generators:
-            spec = g.subs({n: point[n] for n in self.param_names})
-            out.append(spec.map_to(geo_ring))
-        return out
-
     def __repr__(self):
         stair = ", ".join(str(self.ring.monomial(self._embed(m)))
                           for m in self.staircase)
@@ -243,16 +235,6 @@ class LiftedIdeal:
     kind: str                      # "contact" or "interior"
     z: str
     base_z: Fraction               # z-coordinate of the completion point
-
-    def translated_to_origin(self) -> "LiftedIdeal":
-        """Move the completion point to z = 0."""
-        if self.base_z == 0:
-            return self
-        ring = self.generators[0].ring
-        shift = {self.z: ring.var(self.z) + ring.const(self.base_z)}
-        return LiftedIdeal([g.subs(shift) for g in self.generators],
-                           self.graph_relation.subs(shift),
-                           self.kind, self.z, Fraction(0))
 
 
 def lift_contact(F: ContactFamily, ideal_gens: Sequence[Poly],
@@ -343,13 +325,22 @@ def verify_membership_equivalence(F: ContactFamily,
 
     and that eliminating z from the lift recovers the input ideal.
     Samples where the boundary factor g fails to be invertible modulo the
-    specialized ideal are rejected and redrawn.
+    specialized ideal are rejected and redrawn.  Each caller-supplied point
+    in ``extra_points`` must name parameters only.
+
+    Every polynomial is specialized in one pass (``Poly.specialize``),
+    straight into the ring of the check.  A dict local to the call keeps
+    the degrevlex basis of each specialized curve ideal, so a
+    parameter-free ideal gets one curve basis per call.
 
     One reduced lex basis of the lift, z first, serves both checks.  By the
     Elimination Theorem its z-free part ``low`` is a reduced basis of the
     elimination ideal, so division by ``low`` decides whether the ideal's
     generators lie in it; a zero remainder proves membership even without
-    the theorem.
+    the theorem.  The generators are divided by the whole lex basis, which
+    leaves the same remainder: under lex with z first, only a z-free lead
+    divides a z-free monomial, and a row with a z-free lead is z-free
+    throughout, so the division of a z-free polynomial meets only ``low``.
     """
     rng = random.Random(seed)
     ring_all = F.E.ring
@@ -357,6 +348,12 @@ def verify_membership_equivalence(F: ContactFamily,
         ring_all = ring_all.extend(p.ring.variables)
     free_params = tuple(v for v in ring_all.variables
                         if v not in (F.x, F.y, "z"))
+    for point in extra_points:
+        for name in point:
+            if name not in free_params:
+                raise UnknownVariable(
+                    f"sample point names {name!r}, which is not a parameter "
+                    f"of the family or the ideal")
     geo_ring = PolyRing((F.x, F.y))
     z_ring = PolyRing((F.x, F.y, "z"))
     geo_order = TermOrder.degrevlex(geo_ring.variables)
@@ -367,6 +364,7 @@ def verify_membership_equivalence(F: ContactFamily,
     else:
         target = z_ring.var("z")
 
+    curve_bases: Dict[Tuple[Poly, ...], GroebnerBasis] = {}
     results: List[SampleResult] = []
     rejected = 0
     pending = list(extra_points)
@@ -380,16 +378,15 @@ def verify_membership_equivalence(F: ContactFamily,
         else:
             point = {v: _random_rational(rng) for v in free_params}
 
-        E_spec = F.E.map_to(ring_all).subs(point).map_to(geo_ring)
-        gens_spec = [g.map_to(ring_all).subs(point).map_to(geo_ring)
-                     for g in ideal_gens]
-        gens_spec = [g for g in gens_spec if not g.is_zero()]
+        E_spec = F.E.specialize(point, geo_ring)
+        gens_spec = [g for g in (p.specialize(point, geo_ring)
+                                 for p in ideal_gens) if not g.is_zero()]
         if not gens_spec:
             rejected += 1
             continue
 
         if F.kind == "contact":
-            g_spec = F.g.map_to(ring_all).subs(point).map_to(geo_ring)
+            g_spec = F.g.specialize(point, geo_ring)
             if g_spec.is_zero():
                 rejected += 1
                 continue
@@ -399,13 +396,15 @@ def verify_membership_equivalence(F: ContactFamily,
                 if not inv_check.is_unit_ideal():
                     rejected += 1
                     continue
-        curve_gb = gb_buchberger(gens_spec, geo_order)
+        key = tuple(gens_spec)
+        curve_gb = curve_bases.get(key)
+        if curve_gb is None:
+            curve_gb = curve_bases[key] = gb_buchberger(gens_spec, geo_order)
         in_curve = normal_form(E_spec, curve_gb).is_zero()
 
         if F.kind == "contact":
-            graph = (F.f.map_to(ring_all).subs(point).map_to(z_ring)
-                     - z_ring.var("z")
-                     * F.g.map_to(ring_all).subs(point).map_to(z_ring))
+            graph = (F.f.specialize(point, z_ring)
+                     - z_ring.var("z") * F.g.specialize(point, z_ring))
         else:
             graph = z_ring.var("z") - E_spec.map_to(z_ring)
         lifted = [g.map_to(z_ring) for g in gens_spec] + [graph]
@@ -413,10 +412,9 @@ def verify_membership_equivalence(F: ContactFamily,
         in_surface = normal_form(target, lex_gb).is_zero()
 
         low = [g for g in lex_gb if g.degree_in("z") == 0]
-        low_gb = GroebnerBasis(low, lex_gb.order, True)
         elim_ok = (bool(low)
                    and all(normal_form(g, curve_gb).is_zero() for g in low)
-                   and all(normal_form(g, low_gb).is_zero()
+                   and all(normal_form(g, lex_gb).is_zero()
                            for g in gens_spec))
 
         results.append(SampleResult(

@@ -129,9 +129,9 @@ class _Reducer:
     __slots__ = ("code", "exps", "leads", "rows", "_divs", "_seen")
 
     def __init__(self, order: TermOrder, ring: PolyRing,
-                 rows: Sequence[Row] = ()):
-        self.code = _Encoding(order, ring,
-                              max(_START_BITS // max(ring.nvars, 1) - 1, 1))
+                 rows: Sequence[Row] = (), code: Optional[_Encoding] = None):
+        self.code = code or _Encoding(
+            order, ring, max(_START_BITS // max(ring.nvars, 1) - 1, 1))
         self.exps: List[Exponents] = []  # the leads as exponent tuples
         self.leads: List[int] = []
         self.rows: List[Packed] = []
@@ -267,20 +267,24 @@ class _Reducer:
 
 class GroebnerBasis:
     """A Groebner basis with its order; generators are primitive integer
-    polynomials with positive leading coefficient."""
+    polynomials with positive leading coefficient.  ``_reducer``, private,
+    is the kernel already holding the generators as rows, in order, which
+    ``gb_buchberger`` hands over; without it they are packed afresh."""
 
     __slots__ = ("generators", "order", "reduced", "_ring", "_key", "_leads",
                  "_reducer")
 
-    def __init__(self, generators: List[Poly], order: TermOrder, reduced: bool):
+    def __init__(self, generators: List[Poly], order: TermOrder, reduced: bool,
+                 _reducer: Optional[_Reducer] = None):
         self.generators = generators
         self.order = order
         self.reduced = reduced
         self._ring = generators[0].ring if generators else None
         self._key = order.key_function(self._ring) if self._ring else None
-        self._reducer = _Reducer(order, self._ring,
-                                 [g.primitive_terms()[0] for g in generators]
-                                 ) if generators else None
+        if _reducer is None and generators:
+            _reducer = _Reducer(order, self._ring,
+                                [g.primitive_terms()[0] for g in generators])
+        self._reducer = _reducer
         self._leads = self._reducer.exps if generators else []
 
     @property
@@ -347,6 +351,11 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     each new basis element; an element whose lead a newer lead divides gets
     no new pairs.  With ``stop_at_unit`` the computation returns the basis
     {1} as soon as a constant enters the basis.
+
+    The returned basis reuses the kernel and its encoding: the reduced rows
+    are appended, already packed, to a second ``_Reducer`` that starts from
+    the encoding of the first, and are decoded once, into the ``Poly``
+    generators.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -420,15 +429,19 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
 
     # the active leads are minimal; reduce the tails for the reduced basis
     # (no lead divides a monomial below it, so a row never reduces its tail)
-    final: List[Poly] = []
+    final = _Reducer(order, ring, code=basis.code)
     for g in sorted(active, key=basis.leads.__getitem__):
         tail = dict(basis.rows[g])
         lc = tail.pop(basis.leads[g])
         row, mult = basis.reduce(tail)
+        # the reduce may widen the encoding: re-pack the rows handed over
+        while final.code.width < basis.code.width:
+            final._widen({})
         row[basis.leads[g]] = lc * mult  # read after reduce: it may re-encode
-        row = basis.decode(_primitive_row(row, basis.leads[g]))
-        final.append(Poly(ring, {e: Fraction(c) for e, c in row.items()}))
-    return GroebnerBasis(final, order, True)
+        final.append(_primitive_row(row, basis.leads[g]))
+    gens = [Poly(ring, {e: Fraction(c) for e, c in final.decode(r).items()})
+            for r in final.rows]
+    return GroebnerBasis(gens, order, True, final)
 
 
 def ideal_membership(p: Poly, gens: Sequence[Poly], order: TermOrder) -> bool:

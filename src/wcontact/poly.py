@@ -251,18 +251,25 @@ class Poly:
     def subs(self, assignments: Dict[str, "Poly | int | Fraction"]) -> "Poly":
         """Substitute polynomials (or constants) for variables.
 
-        A constant folds into each term's coefficient; a polynomial product
-        is formed only for the variables assigned a Poly."""
+        The constants fold into the coefficients (``specialize``); a
+        polynomial product is formed only for the variables assigned a Poly."""
         ring = self.ring
-        values: Dict[int, "Poly | Fraction"] = {}
+        consts: Dict[str, "int | Fraction"] = {}
+        values: Dict[int, Poly] = {}
         for name, val in assignments.items():
             i = ring.index(name)
-            if isinstance(val, Poly) and val.ring != ring:
+            if not isinstance(val, Poly):
+                consts[name] = val
+            elif val.ring != ring:
                 raise ValueError("substitution value lives in a different ring")
-            values[i] = val if isinstance(val, Poly) else Fraction(val)
-        pow_cache: Dict[Tuple[int, int], "Poly | Fraction"] = {}
+            else:
+                values[i] = val
+        p = self.specialize(consts, ring) if consts else self
+        if not values:
+            return p
+        pow_cache: Dict[Tuple[int, int], Poly] = {}
         terms: Dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
+        for e, c in p.terms.items():
             rest = list(e)
             factor = None
             for i, v in values.items():
@@ -270,15 +277,10 @@ class Poly:
                 if not k:
                     continue
                 rest[i] = 0
-                p = pow_cache.get((i, k))
-                if p is None:
-                    p = pow_cache[i, k] = v ** k
-                if isinstance(p, Poly):
-                    factor = p if factor is None else factor * p
-                else:
-                    c *= p
-            if not c:
-                continue
+                q = pow_cache.get((i, k))
+                if q is None:
+                    q = pow_cache[i, k] = v ** k
+                factor = q if factor is None else factor * q
             rest = tuple(rest)
             if factor is None:
                 terms[rest] = terms.get(rest, 0) + c
@@ -286,6 +288,58 @@ class Poly:
             for fe, fc in factor.terms.items():
                 ne = tuple(map(int.__add__, fe, rest))
                 terms[ne] = terms.get(ne, 0) + c * fc
+        return Poly(ring, {e: c for e, c in terms.items() if c})
+
+    def specialize(self, point: Dict[str, "int | Fraction"],
+                   ring: PolyRing) -> "Poly":
+        """Substitute the constants of ``point`` for the variables of this
+        ring that it names, and write each term straight into ``ring``.
+
+        Names that are not variables of this ring are ignored.  A variable
+        that survives the substitution must be one of ``ring``'s, or
+        UnknownVariable is raised, as by ``map_to``."""
+        values: List[Tuple[int, Fraction]] = []
+        moves: List[Tuple[int, int]] = []  # (index here, index in ring or -1)
+        for i, v in enumerate(self.ring.variables):
+            if v in point:
+                val = point[v]
+                if not isinstance(val, Fraction):
+                    val = Fraction(val)
+                values.append((i, val))
+            else:
+                moves.append((i, ring._index.get(v, -1)))
+        powers = {(i, 1): v for i, v in values}
+        terms: Dict[Exponents, Fraction] = {}
+        stray: Dict[Exponents, Fraction] = {}  # terms in a variable not in ring
+        n = ring.nvars
+        for e, c in self.terms.items():
+            for i, v in values:
+                k = e[i]
+                if k:
+                    p = powers.get((i, k))
+                    if p is None:
+                        p = powers[i, k] = v ** k
+                    c *= p
+            if not c:
+                continue
+            new = [0] * n
+            for i, j in moves:
+                k = e[i]
+                if k:
+                    if j < 0:
+                        rest = tuple(e[m] for m, _ in moves)
+                        stray[rest] = stray.get(rest, 0) + c
+                        break
+                    new[j] = k
+            else:
+                new = tuple(new)
+                s = terms.get(new)
+                terms[new] = c if s is None else s + c
+        for rest, c in stray.items():
+            if c:
+                name = next(self.ring.variables[i]
+                            for (i, j), k in zip(moves, rest) if k and j < 0)
+                raise UnknownVariable(f"variable {name!r} not in {ring!r}")
         return Poly(ring, {e: c for e, c in terms.items() if c})
 
     def eval(self, point: Dict[str, "int | Fraction"]) -> Fraction:

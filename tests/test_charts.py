@@ -13,7 +13,8 @@ from wcontact.charts import (GroebnerStratumChart, an_surface,
                              relative_hilb_equations,
                              substitute_with_denominator,
                              verify_membership_equivalence)
-from wcontact.errors import InfiniteColength, WrongKind
+from wcontact.errors import (InfiniteColength, SamplingFailed,
+                             UnknownVariable, WrongKind)
 from wcontact.families import ContactFamily, multiply_unit
 from wcontact.groebner import (GroebnerBasis, gb_buchberger, normal_form,
                               standard_monomials)
@@ -37,6 +38,12 @@ def chart_yx2():
 def chart_m2():
     return GroebnerStratumChart(
         [GEO.parse("y^2"), GEO.parse("x*y"), GEO.parse("x^2")], LEX_YX)
+
+
+def specialize(c, point):
+    """The chart's generators at a rational chart point, in x, y."""
+    return [g.specialize(point, PolyRing(c.geo_vars))
+            for g in c.generic_generators]
 
 
 class TestChartConstruction:
@@ -83,8 +90,8 @@ class TestChartConstruction:
 
     def test_specialize(self):
         c = chart_yx2()
-        gens = c.specialize({"k": Fraction(1), "l": Fraction(0),
-                             "m": Fraction(0), "n": Fraction(2)})
+        gens = specialize(c, {"k": Fraction(1), "l": Fraction(0),
+                              "m": Fraction(0), "n": Fraction(2)})
         assert [str(g) for g in gens] == ["-x + y", "x^2 - 2"]
 
 
@@ -104,7 +111,7 @@ class TestChartSoundness:
             point = dict(zip(names, (Fraction(v) for v in vals)))
             for q in c.stratum_equations:
                 assert q.eval(point) == 0
-            gens = c.specialize(point)
+            gens = specialize(c, point)
             G = gb_buchberger(gens, LEX_YX)
             q = standard_monomials(G)
             assert q.dimension == 3
@@ -145,7 +152,7 @@ class TestChartSoundness:
                              vals[0:3] + vals[3:6] + vals[7:9]))
             for q in c.stratum_equations:
                 assert q.eval(point) == 0
-            gens = c.specialize(point)
+            gens = specialize(c, point)
             for px, py in pts:
                 for g in gens:
                     assert g.eval({"x": px, "y": py}) == 0
@@ -159,7 +166,7 @@ class TestChartSoundness:
         # x*y - 1 forces x into the ideal, so the staircase collapses
         point[c.param_names[5]] = Fraction(1)
         assert any(q.eval(point) != 0 for q in c.stratum_equations)
-        G = gb_buchberger(c.specialize(point), LEX_YX)
+        G = gb_buchberger(specialize(c, point), LEX_YX)
         assert G.is_unit_ideal()
 
 
@@ -230,12 +237,13 @@ class TestLifts:
         F = ContactFamily.contact(ring.parse("y*(y + 1) + x^2"))
         L = lift_contact(F, [ring.parse("y"), ring.parse("x")])
         assert L.base_z != 0
-        T = L.translated_to_origin()
-        assert T.base_z == 0
-        zr = T.graph_relation.ring
+        # move the completion point to z = 0
+        zr = L.graph_relation.ring
+        shift = {L.z: zr.var(L.z) + zr.const(L.base_z)}
+        moved = [g.subs(shift) for g in L.generators]
         origin = {v: 0 for v in zr.variables}
         # after translation the completion point sits at the origin
-        assert all(g.eval(origin) == 0 for g in T.generators[:-1])
+        assert all(g.eval(origin) == 0 for g in moved)
 
     def test_an_surface(self):
         assert str(an_surface(3)) == "x^4 + y*z"
@@ -276,6 +284,13 @@ class TestMembershipCorrespondence:
         first = report.samples[0]
         assert first.point == {"s": "0", "t": "0"}
         assert first.curve_membership and first.surface_membership
+
+    def test_extra_point_must_name_parameters_only(self):
+        for point in ({"s": 0, "t": 0, "u": 1}, {"s": 0, "t": 0, "x": 1}):
+            with pytest.raises(UnknownVariable):
+                verify_membership_equivalence(
+                    fam_st(), [RST.parse("y"), RST.parse("x^4")], samples=1,
+                    extra_points=[point])
 
     def test_deterministic_in_seed(self):
         F = fam_st()
@@ -404,6 +419,46 @@ class TestOneLexBasis:
                 assert report.rejected == rejected
                 seen_curve |= {s.curve_membership for s in report.samples}
         assert seen_curve == {True, False}
+
+    @pytest.mark.parametrize("family", range(len(SAMPLED_FAMILIES)))
+    def test_one_curve_basis_per_call_for_a_parameter_free_ideal(
+            self, monkeypatch, family):
+        F, gens = SAMPLED_FAMILIES[family], SAMPLED_IDEALS[2]
+        real = charts.gb_buchberger
+        curve_bases = []
+
+        def counting(polys, order, stop_at_unit=False):
+            if order.kind == "degrevlex" and not stop_at_unit:
+                curve_bases.append(polys)
+            return real(polys, order, stop_at_unit=stop_at_unit)
+
+        monkeypatch.setattr(charts, "gb_buchberger", counting)
+        report = verify_membership_equivalence(F, gens, samples=5, seed=9)
+        assert len(curve_bases) == 1
+        want, rejected = four_basis_oracle(F, gens, 5, 9)
+        assert [(s.point, s.curve_membership, s.surface_membership,
+                 s.equivalent, s.elimination_ok)
+                for s in report.samples] == want
+        assert report.rejected == rejected
+
+    def test_invertibility_check_when_g_is_not_constant(self):
+        # g = 1 + x is not constant, so each sample asks whether it is a
+        # unit modulo the curve ideal
+        ring = PolyRing(("x", "y", "s"))
+        F = ContactFamily.contact(ring.parse("y^2 + x^4*(1 + x) + s*y"),
+                                  ("s",))
+        assert not F.g.is_constant()
+        gens = [GEO.parse("y"), GEO.parse("x^2")]
+        report = verify_membership_equivalence(F, gens, samples=5, seed=3)
+        want, rejected = four_basis_oracle(F, gens, 5, 3)
+        assert [(s.point, s.curve_membership, s.surface_membership,
+                 s.equivalent, s.elimination_ok)
+                for s in report.samples] == want
+        assert report.rejected == rejected == 0
+        # 1 + x lies in <y, x + 1>: every sample is rejected
+        with pytest.raises(SamplingFailed):
+            verify_membership_equivalence(
+                F, [GEO.parse("y"), GEO.parse("x + 1")], samples=2, seed=3)
 
     @pytest.mark.parametrize("drop", [0, -1])
     @pytest.mark.parametrize("family", [0, 3], ids=["contact", "interior"])

@@ -11,9 +11,10 @@ import sympy
 import wcontact
 from wcontact import groebner
 from wcontact.errors import CertificationFailed, InfiniteColength
-from wcontact.groebner import (_Encoding, gb_buchberger, ideal_membership,
-                               normal_form, radical_membership,
-                               staircase_complement, standard_monomials)
+from wcontact.groebner import (GroebnerBasis, _Encoding, gb_buchberger,
+                               ideal_membership, normal_form,
+                               radical_membership, staircase_complement,
+                               standard_monomials)
 from wcontact.jobs import parse_job, run_task
 from wcontact.poly import (Poly, PolyRing, TermOrder, mono_div, mono_divides,
                            mono_lcm)
@@ -364,6 +365,50 @@ class TestPackedMonomials:
     def test_overflow_widens_and_matches_sympy(self, names, kind, priority,
                                                gens, probes):
         ring = PolyRing(names)
+        _assert_matches_sympy([ring.parse(g) for g in gens],
+                              TermOrder(kind, priority),
+                              [ring.parse(p) for p in probes])
+
+
+class TestHandedKernel:
+    """``gb_buchberger`` hands its packed rows to the basis it returns; that
+    kernel divides exactly as one packed afresh from the generators."""
+
+    # x - y^2 meets y - a^20 only in the final tail reductions, where y^2
+    # becomes a^40, wider than a field, after z*b - 1 and y - a^20 were
+    # handed over
+    TAIL_WIDENING = (TestPackedMonomials.TEN, "lex", TestPackedMonomials.TEN,
+                     ["x - y^2", "y*z - a^20*z", "z*b - 1"],
+                     ["x^3*y + z", "y^40*b*z", "x*a^50 - y*b"])
+
+    @pytest.mark.parametrize("names,kind,priority,gens,probes",
+                             TestPackedMonomials.OVERFLOW_CASES
+                             + [TAIL_WIDENING])
+    def test_divides_as_a_basis_packed_from_its_generators(
+            self, names, kind, priority, gens, probes):
+        ring = PolyRing(names)
+        gens = [ring.parse(g) for g in gens]
+        G = gb_buchberger(gens, TermOrder(kind, priority))
+        fresh = GroebnerBasis(list(G), G.order, True)
+        assert G.leading_monomials() == fresh.leading_monomials()
+        for p in gens + [ring.parse(p) for p in probes]:
+            assert normal_form(p, G).terms == normal_form(p, fresh).terms
+
+    def test_a_widening_tail_reduction_re_packs_the_rows_handed_over(
+            self, monkeypatch):
+        names, kind, priority, gens, probes = self.TAIL_WIDENING
+        ring = PolyRing(names)
+        widened = []
+        widen = groebner._Reducer._widen
+
+        def recording(self, row):
+            widened.append((self, len(self.rows)))
+            return widen(self, row)
+
+        monkeypatch.setattr(groebner._Reducer, "_widen", recording)
+        G = gb_buchberger([ring.parse(g) for g in gens],
+                          TermOrder(kind, priority))
+        assert any(r is G._reducer and n > 0 for r, n in widened)
         _assert_matches_sympy([ring.parse(g) for g in gens],
                               TermOrder(kind, priority),
                               [ring.parse(p) for p in probes])

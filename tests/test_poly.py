@@ -253,3 +253,53 @@ class TestSubstitution:
             (x + y).subs({"x": PolyRing(("x", "y", "z")).var("z")})
         with pytest.raises(UnknownVariable):
             (x + y).subs({"z": 1})
+
+
+class TestSpecialize:
+    """``specialize`` against the chain it replaces: widen to a ring that
+    holds every name, substitute term by term (``subs_oracle``), map into
+    the target ring."""
+
+    R4 = TestSubstitution.R4
+
+    def test_matches_map_subs_map(self):
+        rng = random.Random(4051)
+        raised = 0
+        for _ in range(400):
+            p = TestSubstitution().random_poly(rng, rng.randint(0, 8))
+            names = rng.sample(self.R4.variables + ("u",),
+                               rng.randint(0, 5))
+            point = {n: rng.choice((0, Fraction(rng.randint(-4, 4),
+                                                rng.randint(1, 3))))
+                     for n in names}
+            left = [v for v in self.R4.variables if v not in point]
+            target = PolyRing(rng.sample(left, rng.randint(0, len(left))))
+            ring_all = self.R4.extend(point)
+            try:
+                want = subs_oracle(p.map_to(ring_all), point).map_to(target)
+            except UnknownVariable:
+                raised += 1
+                with pytest.raises(UnknownVariable):
+                    p.specialize(point, target)
+                continue
+            got = p.specialize(point, target)
+            assert got.ring == target
+            assert got == want, (p, point, target)
+            assert all(got.terms.values())
+        assert 50 < raised < 350
+
+    def test_surviving_variable_outside_the_target_raises(self):
+        p = self.R4.parse("x*s + y")
+        with pytest.raises(UnknownVariable):
+            p.specialize({"s": 2}, PolyRing(("y",)))
+        assert p.specialize({"s": 0}, PolyRing(("y",))) \
+            == PolyRing(("y",)).var("y")
+
+    def test_folds_to_zero(self):
+        p = self.R4.parse("x*s - x*t + y*s - y")
+        target = PolyRing(("y", "x"))
+        got = p.specialize({"s": 1, "t": 1}, target)
+        assert got.is_zero() and got.ring == target
+        # x and y survive only in terms that cancel, so the target may
+        # lack them
+        assert p.specialize({"s": 1, "t": 1}, PolyRing(("u",))).is_zero()
