@@ -37,8 +37,9 @@ class UnknownVariable(WContactError):
 
 class InfiniteColength(WContactError):
     """A proof of infinite colength: a leading-term ideal has no pure power
-    of some variable, or no power of the maximal ideal lies in a local ideal
-    at the Bezout bound d^n, which a finite colength never exceeds."""
+    of some variable, or a local ideal leaves more monomials independent
+    modulo a power of the maximal ideal than the Bezout bound d^n on a
+    finite colength allows."""
 
 
 class NotAUnit(WContactError):

@@ -167,6 +167,16 @@ def weierstrass_prepare_x(E: Poly, w: int, N: int = DEFAULT_TRUNCATION,
     a_i in the ideal of the non-x variables; u is a unit.  By default all
     variables of the ring other than x are treated as truncatable (parameter
     dependence is then resolved as a series around the base point).
+
+    Each pass divides E by u and multiplies u by 1 + d, d the defect.  The
+    inverse v of u is carried across passes: after the update u * v = 1 + d
+    exactly modulo m^(N+1), so Newton's step v <- v * (1 + err),
+    err <- err^2 from err = -d keeps u * v = 1 - err.  When d lies in m, err
+    reaches zero within ceil(log2(N+1)) steps, and v is then the inverse,
+    which is unique modulo m^(N+1): u, P and every pass equal those of a
+    fresh inversion.  A d with a term of degree 0 in the truncated variables
+    may never square to zero, so u is then inverted afresh, which raises
+    NotAUnit when u is no longer a unit.
     """
     ring = E.ring
     xi = ring.index(x)
@@ -189,16 +199,25 @@ def weierstrass_prepare_x(E: Poly, w: int, N: int = DEFAULT_TRUNCATION,
     Ets = TruncatedSeries(E, N, trunc_vars)
     _, q0 = _x_split(Ets.body, xi, w)
     u = TruncatedSeries(q0, N, trunc_vars)
-    G = Ets
+    v = series_invert(u)
+    idx = [ring.index(t) for t in trunc_vars]
     # Each pass pushes the defect q(u^-1 E) - 1 one step deeper into the
     # ideal of the non-x variables, so at most N+1 passes are needed.
     for _ in range(N + 2):
-        G = series_invert(u) * Ets
+        G = v * Ets
         _, q = _x_split(G.body, xi, w)
         defect = TruncatedSeries(q, N, trunc_vars) - 1
         if defect.is_zero():
             break
         u = u * (defect + 1)
+        if any(all(e[i] == 0 for i in idx) for e in defect.body.terms):
+            v = series_invert(u)  # the defect is not in m
+            continue
+        # u * v = 1 - err, and each step squares err
+        err = -defect
+        while not err.is_zero():
+            v = v * (err + 1)
+            err = err * err
     else:
         raise CertificationFailed("Weierstrass iteration did not stabilize")
 
@@ -253,27 +272,37 @@ class LocalIdeal:
         return tuple(full)
 
     def certify(self) -> "LocalIdeal":
-        """Certify finite colength, doubling the truncation order up to the
-        cap.  InfiniteColength when the cap is the Bezout bound (a proof),
-        CertificationFailed when it is TRUNCATION_CAP (no conclusion)."""
+        """Certify finite colength, doubling the truncation order from 12 (or
+        the cap, if lower) up to the cap min(d^n, 48).
+
+        Each order either certifies, proves the colength infinite (see
+        :meth:`_try_certify`) or leaves the question open.  The proof always
+        lands by the Bezout bound d^n, so an open question at the cap means
+        the cap is TRUNCATION_CAP, below d^n: CertificationFailed, which is
+        no conclusion."""
         if self.truncation is not None:
             return self
         N = min(DEFAULT_TRUNCATION, self.cap)
         while not self._try_certify(N):
-            if N < self.cap:
-                N = min(2 * N, self.cap)
-            elif N == self._bezout:
-                raise InfiniteColength(
-                    f"no power of the maximal ideal lies in the ideal at "
-                    f"truncation order {N}, the Bezout bound")
-            else:
+            if N == self.cap:
                 raise CertificationFailed(
                     f"colength not certified up to truncation order {N}, "
                     f"below the Bezout bound {self._bezout}")
+            N = min(2 * N, self.cap)
         self.truncation = N
         return self
 
     def _try_certify(self, N: int) -> bool:
+        """Echelon the image of the ideal in O/m^(N+1).  True when some m^j
+        lies in the ideal; then the colength, quotient basis and reduction
+        map are exact.
+
+        Otherwise the non-pivot monomials of degree <= N are a basis of
+        O/(I + m^(N+1)), whose dimension is at most the colength.  A finite
+        colength is at most d^n, so more than d^n of them prove it infinite:
+        InfiniteColength at order N, with ``cap`` set to N, the last order
+        tried.  At N = d^n every degree 0..N keeps a non-pivot, which makes
+        d^n + 1 of them.  Fewer leave the question open: False."""
         nv = len(self.variables)
         grkey = TermOrder.degrevlex(self.variables).key_function(
             PolyRing(self.variables))
@@ -311,6 +340,13 @@ class LocalIdeal:
                 j = cand
                 break
         if j is None:
+            free = len(monomials) - len(pivots)
+            if free > self._bezout:
+                self.cap = N
+                raise InfiniteColength(
+                    f"no power of the maximal ideal lies in the ideal: at "
+                    f"truncation order {N}, {free} monomials are independent "
+                    f"modulo it, more than the Bezout bound {self._bezout}")
             return False
 
         # exact computation inside O/m^j: a pivot's lead is its lowest-degree
@@ -354,10 +390,6 @@ class LocalIdeal:
     def _restrict_complement_nonzero(self, e: Exponents) -> bool:
         marked = set(self._idx)
         return any(k and i not in marked for i, k in enumerate(e))
-
-    def reduce_to_poly(self, p: Poly) -> Poly:
-        vec = self.reduce(p)
-        return Poly(self.ring, {self._unrestrict(e): c for e, c in vec.items()})
 
     def contains(self, p: Poly) -> bool:
         return not self.reduce(p)

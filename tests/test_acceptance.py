@@ -244,8 +244,9 @@ def test_9_engine_soundness():
 
 
 def test_10_not_isolated_is_bounded():
-    """x*y*s is singular along three lines: the colength certification runs
-    to its cap and ends in NotIsolated within ten seconds."""
+    """x*y*s is singular along three lines: the colength certification
+    stops at order 12, where more monomials stay independent than the
+    Bezout bound 27 allows, and ends in NotIsolated within ten seconds."""
     t0 = time.monotonic()
     ring = PolyRing(("x", "y", "s"))
     with pytest.raises(NotIsolated):

@@ -1,13 +1,18 @@
 """Truncated series, Weierstrass preparation, certified colengths and the
 classical singularity invariants."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+import wcontact
 from wcontact.errors import (CertificationFailed, ContactOrderMismatch,
                              InconsistentBranchCount, InfiniteColength,
                              NotAUnit, NotIsolated)
@@ -19,6 +24,7 @@ from wcontact.series import (LocalIdeal, TruncatedSeries,
 
 R = PolyRing(("x", "y"))
 x, y = R.var("x"), R.var("y")
+SRC_DIR = Path(wcontact.__file__).resolve().parents[1]
 
 
 class TestInversion:
@@ -202,6 +208,100 @@ class TestWeierstrass:
             yi, si = ring.index("y"), ring.index("s")
             assert all(e[yi] or e[si] for e in tail.terms)
 
+    def test_unit_defect_in_a_parameter_is_not_a_unit(self):
+        """A defect with a t-only term never squares to zero, so the carried
+        inverse is not Newton-updated; u is inverted afresh and that raises.
+        Run in a subprocess, so that a loop that never ends fails the test
+        at its timeout instead of hanging the suite."""
+        script = (
+            "from wcontact.errors import NotAUnit\n"
+            "from wcontact.poly import PolyRing\n"
+            "from wcontact.series import weierstrass_prepare_x\n"
+            "R = PolyRing(('x', 'y', 't'))\n"
+            "try:\n"
+            "    weierstrass_prepare_x(R.parse('x^2 + t*x^3 + t*x + y'), 2, 6,\n"
+            "                          small=('y',))\n"
+            "except NotAUnit:\n"
+            "    print('NotAUnit')\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "NotAUnit\n"
+
+    def test_carried_inverse_matches_fresh_inverses(self):
+        """u and P equal, term for term, those of the loop that inverts u
+        afresh on every pass, and both raise alike; t is a parameter that is
+        not truncated."""
+        rng = random.Random(13)
+        rings = [PolyRing(("x", "y", "s")), PolyRing(("x", "y", "s", "t"))]
+        prepared = raised = 0
+        for k in range(160):
+            ring = rings[k % 2]
+            w, N = rng.randint(2, 5), rng.randint(8, 14)
+            E = _random_weierstrass_input(rng, ring, w)
+            try:
+                want = _prepare_by_fresh_inverses(E, w, N, ("y", "s"))
+            except NotAUnit:
+                with pytest.raises(NotAUnit):
+                    weierstrass_prepare_x(E, w, N, small=("y", "s"))
+                raised += 1
+                continue
+            u, P = weierstrass_prepare_x(E, w, N, small=("y", "s"))
+            assert (u.body.terms, u.order, u.small) == \
+                (want[0].body.terms, want[0].order, want[0].small)
+            assert P.terms == want[1].terms
+            prepared += 1
+        assert prepared >= 150 and raised >= 1
+
+
+def _random_weierstrass_input(rng, ring, w):
+    """A unit multiple of x^w plus terms of higher x-order or divisible by y
+    or s, some of them multiplied by a parameter t; rarely also
+    t * (x^(w-1) + x^(w+1)), whose defect keeps a t-only term."""
+    xs = ring.var("x")
+    E = xs**w * Fraction(rng.choice([1, -2, 3]), rng.randint(1, 2))
+    for _ in range(rng.randint(2, 5)):
+        e = [rng.randint(0, w + 2)] + [rng.randint(0, 2) for _ in
+                                       ring.variables[1:]]
+        if rng.random() < 0.7:
+            e[rng.randint(1, 2)] += 1
+        elif e[0] <= w:
+            e[0] = w + 1
+        if len(e) == 4:
+            e[3] = rng.randint(0, 1)
+        E = E + Poly(ring, {tuple(e): Fraction(rng.randint(1, 3),
+                                               rng.choice([1, 2, -1]))})
+    if len(ring.variables) == 4 and rng.random() < 0.1:
+        E = E + ring.var("t") * (xs ** (w - 1) + xs ** (w + 1))
+    return E
+
+
+def _prepare_by_fresh_inverses(E, w, N, small):
+    """Weierstrass preparation along x with u inverted from scratch on every
+    pass: returns (u, P)."""
+    ring = E.ring
+    xi = ring.index("x")
+    trunc = ("x",) + tuple(small)
+    xw = ring.var("x") ** w
+
+    def split(p):
+        r = {e: c for e, c in p.terms.items() if e[xi] < w}
+        q = {e[:xi] + (e[xi] - w,) + e[xi + 1:]: c
+             for e, c in p.terms.items() if e[xi] >= w}
+        return Poly(ring, r), Poly(ring, q)
+
+    Ets = TruncatedSeries(E, N, trunc)
+    u = TruncatedSeries(split(Ets.body)[1], N, trunc)
+    for _ in range(N + 2):
+        r, q = split((series_invert(u) * Ets).body)
+        defect = TruncatedSeries(q, N, trunc) - 1
+        if defect.is_zero():
+            return u, r + xw
+        u = u * (defect + 1)
+    raise CertificationFailed("no fixed point")
+
 
 class TestColength:
     def test_examples(self):
@@ -224,6 +324,21 @@ class TestColength:
         with pytest.raises(InfiniteColength):
             I.certify()
         assert I.cap == 1
+        # the Tjurina ideal of x*y*s: 37 > 3^3 independent monomials at
+        # order 12, the first order tried, so cap records 12
+        ring = PolyRing(("x", "y", "s"))
+        F = ring.parse("x*y*s")
+        I = LocalIdeal([F] + [F.partial(v) for v in ring.variables])
+        with pytest.raises(InfiniteColength, match="order 12, 37 "):
+            I.certify()
+        assert I.cap == 12
+
+    def test_as_many_independent_monomials_as_the_bound_is_no_proof(self):
+        # <x^7, y^7> attains the Bezout bound 49: at order 12 no degree is
+        # fully pivoted yet and all 49 standard monomials are independent,
+        # which a finite colength allows; order 24 certifies
+        I = LocalIdeal([x**7, y**7], ("x", "y")).certify()
+        assert (I.colength, I.truncation) == (49, 24)
 
     def test_past_the_truncation_cap_is_no_verdict(self):
         # A_49: mu = 49 needs order 49, and the Bezout bound 49^2 is past
@@ -235,7 +350,9 @@ class TestColength:
         """Every verdict on a seeded random ideal agrees with the dense
         oracle at the Bezout bound N = d^2: a finite colength equals the
         oracle's, and an infinite one shows up as a longer quotient at N + 1
-        than at N, which a colength of at most N would not allow."""
+        than at N, which a colength of at most N would not allow.  An
+        infinite verdict lands at an order no later than d^2, where the
+        oracle also finds more than d^2 independent monomials."""
         rng = random.Random(9)
         verdicts = {"finite": 0, "infinite": 0}
         for _ in range(40):
@@ -249,7 +366,8 @@ class TestColength:
             try:
                 I.certify()
             except InfiniteColength:
-                assert I.cap == bound
+                assert I.cap <= bound
+                assert _dense_colength_oracle(gens, I.cap + 1) > bound
                 assert _dense_colength_oracle(gens, bound + 1) > \
                     _dense_colength_oracle(gens, bound)
                 verdicts["infinite"] += 1
@@ -278,7 +396,7 @@ class TestColength:
         I = LocalIdeal([y, x**2], ("x", "y")).certify()
         assert I.contains(y**2 + x**4)
         assert not I.contains(x)
-        assert I.reduce_to_poly(x**2 + x + 3) == x + 3
+        assert _reduced_poly(I, x**2 + x + 3) == x + 3
 
     def test_reduce_leaves_no_pivot_in_a_tail(self):
         # x^2 = (y^3 + x^2 + 2y^2) - (2 + y) * y^2 lies in I
@@ -307,7 +425,7 @@ class TestColength:
                 p = _random_poly(rng, R, rng.randint(1, 5))
                 red = I.reduce(p)
                 assert set(red) <= basis
-                assert I.reduce(I.reduce_to_poly(p)) == red
+                assert I.reduce(_reduced_poly(I, p)) == red
         assert certified >= 20
 
     def test_against_dense_oracle(self):
@@ -320,6 +438,12 @@ class TestColength:
         for gens in cases:
             got = local_colength(gens, ("x", "y"))
             assert got == _dense_colength_oracle(gens)
+
+
+def _reduced_poly(I, p):
+    """The class of p in O/I as a polynomial, for an ideal whose series
+    variables are all the variables of its ring."""
+    return Poly(I.ring, I.reduce(p))
 
 
 def _dense_colength_oracle(gens, N=10):
@@ -354,9 +478,11 @@ class TestInvariants:
             milnor_number(y**2)
 
     def test_tjurina_not_isolated_at_the_bezout_bound(self):
-        # <xys, ys, xs, xy> has degree 3 in 3 variables: order 3^3 decides
+        # <xys, ys, xs, xy> has degree 3 in 3 variables, so a finite
+        # colength is at most 3^3 = 27; at order 12 the 1 + 3 * 12 = 37 pure
+        # powers are already independent modulo it, which decides
         ring = PolyRing(("x", "y", "s"))
-        with pytest.raises(NotIsolated, match="order 27,"):
+        with pytest.raises(NotIsolated, match="order 12,"):
             tjurina_number(ring.parse("x*y*s"), ring.variables)
 
     def test_tjurina_surface(self):
