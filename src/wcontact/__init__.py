@@ -17,8 +17,7 @@ from .groebner import (GroebnerBasis, gb_buchberger, ideal_membership,
                        normal_form, radical_membership, standard_monomials)
 from .linalg import MatrixQ
 from .nondegeneracy import (check_condition_star, check_relaxed_condition,
-                            conductor_membership_check, delta_map, phi_map,
-                            psi_generators, psi_map)
+                            delta_map, phi_map, psi_generators, psi_map)
 from .poly import Poly, PolyRing, TermOrder, canonical_form, poly_str
 from .series import (LocalIdeal, TruncatedSeries, delta_invariant,
                      local_colength, milnor_number, series_invert,

@@ -56,6 +56,7 @@ class GroebnerStratumChart:
         self.staircase = _minimal_monomial_generators(monos)
 
         geo_ring = PolyRing(geo_vars)
+        self._geo_order = order.for_ring(geo_ring)
         key = order.key_function(geo_ring)
         self.staircase.sort(key=key, reverse=True)
         self.standard_monomials = sorted(
@@ -112,47 +113,15 @@ class GroebnerStratumChart:
 
     def geo_reduce(self, p: Poly) -> Poly:
         """Reduce p by the generic generators, treating every non-geometric
-        variable as a coefficient; terminating because the generators are
-        monic on their fixed staircase leads."""
-        ring = p.ring
-        gidx = [ring.index(v) for v in self.geo_vars]
-        gens = [g.map_to(ring) for g in self.generic_generators]
-        key = self._key
-
-        def geo_part(e: Exponents) -> Exponents:
-            return tuple(e[i] for i in gidx)
-
-        work = dict(p.terms)
-        result: Dict[Exponents, Fraction] = {}
-        while work:
-            e = max(work, key=lambda t: (key(geo_part(t)), t))
-            c = work.pop(e)
-            ge = geo_part(e)
-            j = next((i for i, m in enumerate(self.staircase)
-                      if mono_divides(m, ge)), None)
-            if j is None:
-                result[e] = result.get(e, 0) + c
-                if not result[e]:
-                    del result[e]
-                continue
-            shift = mono_div(ge, self.staircase[j])
-            cof = [0] * ring.nvars
-            for i, k in zip(gidx, shift):
-                cof[i] = k
-            for i, k in enumerate(e):
-                if i not in gidx:
-                    cof[i] = k
-            cofactor = Poly(ring, {tuple(cof): c})
-            sub = cofactor * gens[j]
-            for se, sc in sub.terms.items():
-                if se == e:
-                    continue
-                s = work.get(se, 0) - sc
-                if s:
-                    work[se] = s
-                else:
-                    work.pop(se, None)
-        return Poly(ring, result)
+        variable as a coefficient: ``normal_form`` under the chart's order
+        on the geometric variables, then lex on the rest.  Under that block
+        order the staircase monomials stay the leads, and the kernel divides
+        each monomial by the first generator, in staircase order, whose lead
+        divides it."""
+        rest = [v for v in p.ring.variables if v not in self.geo_vars]
+        order = self._geo_order.then(TermOrder.lex(rest))
+        gens = [g.map_to(p.ring) for g in self.generic_generators]
+        return normal_form(p, GroebnerBasis(gens, order, False))
 
     def _compute_stratum_equations(self) -> List[Poly]:
         eqs: List[Poly] = []

@@ -14,8 +14,8 @@ from . import jobs
 from .charts import GroebnerStratumChart
 from .errors import ParseError, UsageError, WContactError
 from .families import ContactFamily
-from .ops import (OPS, REQUIRED, Op, call, nonzero, parse_order, parse_point,
-                  positive, public)
+from .ops import (OPS, REQUIRED, Op, call, known_order, nonzero, parse_order,
+                  parse_point, positive, public)
 from .poly import PolyRing, TermOrder
 
 
@@ -138,11 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _flag(name: str):
-    """Report a value the operation cannot use as a usage error of --name."""
+    """Report a value the operation cannot use as a usage error of --name,
+    unless the error already names its argument."""
     try:
         yield
     except (WContactError, ValueError) as exc:
-        raise UsageError(f"--{name}: {exc}") from None
+        raise UsageError(str(exc), getattr(exc, "arg", None) or name) from None
 
 
 def _inputs(op: Op, args) -> Dict[str, Any]:
@@ -169,8 +170,9 @@ def _chart(args, family) -> GroebnerStratumChart:
     geo_ring = PolyRing(geo)
     stair = nonzero([geo_ring.parse(t) for t in args.chart.split(",")
                      if t.strip()])
-    order = parse_order(args.order) if args.order \
-        else TermOrder.lex((geo[1], geo[0]))
+    with _flag("order"):
+        order = known_order(parse_order(args.order), geo_ring) if args.order \
+            else TermOrder.lex((geo[1], geo[0]))
     names = args.chart_params.split(",") if args.chart_params else None
     return GroebnerStratumChart(stair, order, names, geo)
 

@@ -26,7 +26,6 @@ validated before any task runs.  The trunc line is the truncation order of
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from typing import Any, Dict, List, Tuple
 
@@ -305,7 +304,3 @@ def run_job(text: str, include_timing: bool = False) -> Dict[str, Any]:
     return {"seed": ctx.seed, "truncation": ctx.trunc,
             "tasks": {k: results[k] for k in sorted(results)},
             "failed_tasks": failures}
-
-
-def report_to_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"

@@ -223,15 +223,3 @@ def check_relaxed_condition(F: ContactFamily, I: LocalIdeal) -> RelaxedReport:
         quotient_dimension=dim,
         enlarged_quotient_dimension=enlarged.colength,
     )
-
-
-def conductor_membership_check(F: ContactFamily,
-                               conductor_gens: Sequence[Poly]) -> bool:
-    """Experiment hook: does x*df0/dx - w*f0 lie in <E0> + conductor?
-
-    The conductor ideal is supplied by the caller; the package does not
-    compute conductors.
-    """
-    ideal = LocalIdeal([F.at_base_point()] + list(conductor_gens),
-                       variables=(F.x, F.y))
-    return ideal.contains(psi_generators(F, ideal)[0])

@@ -71,9 +71,6 @@ class PolyRing:
         e[i] = 1
         return Poly(self, {tuple(e): Fraction(1)})
 
-    def gens(self) -> List["Poly"]:
-        return [self.var(v) for v in self.variables]
-
     def monomial(self, exps: Exponents, coeff=1) -> "Poly":
         coeff = Fraction(coeff)
         if coeff == 0:
@@ -456,15 +453,21 @@ def canonical_form(p: Poly, order: "TermOrder" = None) -> Tuple[str, Fraction]:
 
 
 class TermOrder:
-    """A monomial order: lex or degrevlex with a variable priority."""
+    """A monomial order: lex or degrevlex with a variable priority, or a
+    block order of such orders on disjoint variables (see ``then``)."""
 
-    __slots__ = ("kind", "priority")
+    __slots__ = ("kind", "priority", "blocks")
 
-    def __init__(self, kind: str, priority: Iterable[str]):
-        if kind not in ("lex", "degrevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.priority = tuple(priority)
+    def __init__(self, kind: str, priority: Iterable[str], *rest):
+        """``rest`` holds the (kind, priority) pairs of further blocks, as
+        ``then`` and ``for_ring`` pass them; a block order has the kind
+        "block" and the blocks' joint priority."""
+        self.blocks = ((kind, tuple(priority)),) + rest
+        for k, _ in self.blocks:
+            if k not in ("lex", "degrevlex"):
+                raise ValueError(f"unknown order kind {k!r}")
+        self.kind = "block" if rest else kind
+        self.priority = sum((p for _, p in self.blocks), ())
         if len(set(self.priority)) < len(self.priority):
             raise ValueError(f"a variable repeats in the order {self!r}")
 
@@ -476,33 +479,35 @@ class TermOrder:
     def degrevlex(cls, priority: Iterable[str]) -> "TermOrder":
         return cls("degrevlex", priority)
 
+    def then(self, other: "TermOrder") -> "TermOrder":
+        """The block order comparing by this order first, then by ``other``
+        (an elimination order for this order's variables)."""
+        return TermOrder(*self.blocks[0], *self.blocks[1:], *other.blocks)
+
     def __eq__(self, other):
-        return (isinstance(other, TermOrder) and self.kind == other.kind
-                and self.priority == other.priority)
+        return isinstance(other, TermOrder) and self.blocks == other.blocks
 
     def __hash__(self):
         return hash((self.kind, self.priority))
 
     def __repr__(self):
-        return f"{self.kind} {'>'.join(self.priority)}"
+        return ", ".join(f"{k} {'>'.join(p)}" for k, p in self.blocks)
 
     def for_ring(self, ring: PolyRing) -> "TermOrder":
-        """Complete the priority with any missing ring variables (appended)."""
-        missing = [v for v in ring.variables if v not in self.priority]
-        return TermOrder(self.kind, self.priority + tuple(missing))
+        """Complete the last block with any missing ring variables
+        (appended); ``self`` when none is missing."""
+        missing = tuple(v for v in ring.variables if v not in self.priority)
+        if not missing:
+            return self
+        kind, last = self.blocks[-1]
+        blocks = self.blocks[:-1] + ((kind, last + missing),)
+        return TermOrder(*blocks[0], *blocks[1:])
 
     def key_function(self, ring: PolyRing):
         """Sortable key for exponent tuples; larger key = larger monomial."""
-        perm = [ring.index(v) for v in self.for_ring(ring).priority]
-        if self.kind == "lex":
-            def key(e: Exponents):
-                return tuple(e[i] for i in perm)
-        else:
-            rperm = list(reversed(perm))
-
-            def key(e: Exponents):
-                return (sum(e), tuple(-e[i] for i in rperm))
-        return key
+        keys = [_block_key(kind, [ring.index(v) for v in names])
+                for kind, names in self.for_ring(ring).blocks]
+        return lambda e: tuple([key(e) for key in keys])
 
     @classmethod
     def parse(cls, text: str) -> "TermOrder":
@@ -515,6 +520,15 @@ class TermOrder:
         if len(parts) > 1:
             names = [n.strip() for n in parts[1].split(">") if n.strip()]
         return cls(kind, names)
+
+
+def _block_key(kind: str, perm: List[int]):
+    """The key of one block, on the exponents at indices ``perm``.  (On
+    tuples this short, list comprehensions are faster than generators.)"""
+    if kind == "lex":
+        return lambda e: tuple([e[i] for i in perm])
+    rperm = perm[::-1]
+    return lambda e: (sum([e[i] for i in perm]), tuple([-e[i] for i in rperm]))
 
 
 # -- monomial helpers ------------------------------------------------------

@@ -280,9 +280,8 @@ class TestJobs:
         assert report["tasks"]["corr"]["result"]["ok"] is True
 
     def test_report_is_deterministic(self):
-        from wcontact.jobs import report_to_json
-        a = report_to_json(run_job(SMALL_JOB))
-        b = report_to_json(run_job(SMALL_JOB))
+        a = json.dumps(run_job(SMALL_JOB), indent=2)
+        b = json.dumps(run_job(SMALL_JOB), indent=2)
         assert a == b
         VALIDATOR.validate(json.loads(a))
 
@@ -537,6 +536,7 @@ MALFORMED = [
     (["gb", "--vars", "x,y", "--gens", "x,y", "--order", "lex x>q"], 2),
     (["nf", "--poly", "x", "--gens", "x,y", "--vars", "x,y",
       "--order", "degrevlex y>x>z"], 2),
+    (["chart", "--chart", "y, x^2", "--order", "lex y>s"], 2),
     ("trunc 0", "JobError"),
     ("poly Q = x/y", "ParseError"),
     ("poly Q = y^2/0", "ParseError"),
@@ -597,6 +597,14 @@ def test_malformed_input_is_typed(case, outcome, tmp_path, capsys):
         errors = [data.get("error")] + [t.get("error") for t in
                                         data.get("tasks", {}).values()]
         assert [e["type"] for e in errors if e] == [outcome]
+
+
+def test_chart_order_outside_the_geometric_ring_is_an_order_error(capsys):
+    """A chart's order names only the two geometric variables; any other
+    name is a usage error of --order, not of --chart."""
+    assert main(["chart", "--chart", "y, x^2", "--order", "lex y>s"]) == 2
+    assert "error: --order: 's' is not a variable of PolyRing(x, y)" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -370,6 +370,93 @@ class TestPackedMonomials:
                               [ring.parse(p) for p in probes])
 
 
+class TestBlockOrders:
+    """Packed monomials of block orders: each block fills the fields below
+    those of the blocks before it."""
+
+    RING = PolyRing(("s", "x", "y", "t", "u"))
+    ORDERS = [
+        TermOrder.degrevlex(("x", "y")).then(TermOrder.lex(("s", "t", "u"))),
+        TermOrder.lex(("y", "x")).then(TermOrder.degrevlex(("t", "s", "u"))),
+        TermOrder.degrevlex(("x", "y")).then(TermOrder.lex(("u",)))
+        .then(TermOrder.degrevlex(("t", "s"))),
+    ]
+
+    @staticmethod
+    def check(code, exps):
+        key = code.order.key_function(code.ring)
+        packed = [code.pack(e) for e in exps]
+        for e, m in zip(exps, packed):
+            assert code.unpack(m) == e
+        for a, pa in zip(exps, packed):
+            for b, pb in zip(exps, packed):
+                assert (pa < pb) == (key(a) < key(b))
+                fits = not (code.exponent_fields(pb)
+                            - code.exponent_fields(pa)) & code.guard
+                assert fits == mono_divides(a, b)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=map(repr, ORDERS))
+    def test_comparison_unpacking_and_divisibility(self, order):
+        rng = random.Random(repr(order))
+        code = _Encoding(order, self.RING, 3)
+        exps = []
+        while len(exps) < 40:
+            e = tuple(rng.randint(0, rng.choice((1, 3, 7)))
+                      for _ in self.RING.variables)
+            if code.top(e) <= code.limit:
+                exps.append(e)
+        self.check(code, exps)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=map(repr, ORDERS))
+    def test_an_exponent_past_a_field_widens(self, order):
+        reducer = groebner._Reducer(order, self.RING)
+        width = reducer.code.width
+        e = (1, 2, 1 << width, 3, 0)
+        packed = reducer.encode({e: 1, (0,) * 5: -1})
+        assert reducer.code.width > width
+        assert reducer.decode(packed) == {e: 1, (0,) * 5: -1}
+        rng = random.Random(7)
+        self.check(reducer.code, [e] + [
+            tuple(rng.randint(0, 1 << width) for _ in range(5))
+            for _ in range(30)])
+
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    def test_single_block_fields(self, kind):
+        """A one-block order packs as it always has: lex puts e_pj in field
+        n-1-j; degrevlex sums e_p0..e_pk in field k."""
+        ring = PolyRing(("a", "b", "c", "d"))
+        order = TermOrder(kind, ("c", "a", "d", "b"))
+        code = _Encoding(order, ring, 5)
+        step, perm = 6, [2, 0, 3, 1]
+        assert code.limit == 31
+        for e in [(0, 0, 0, 0), (3, 0, 7, 1), (2, 5, 1, 4)]:
+            assert code.top(e) == (max(e) if kind == "lex" else sum(e))
+        for j, i in enumerate(perm):
+            if kind == "lex":
+                assert code.shifts[i] == (3 - j) * step
+                assert code.weights[i] == 1 << code.shifts[i]
+            else:
+                assert code.shifts[i] == j * step
+                assert code.weights[i] == sum(1 << (k * step)
+                                              for k in range(j, 4))
+
+    def test_buchberger_closure(self):
+        rng = random.Random(15)
+        ring = PolyRing(("x", "y", "s"))
+        order = TermOrder.degrevlex(("y", "x")).then(TermOrder.lex(("s",)))
+        for _ in range(10):
+            gens = [g for g in (_random_poly(rng, ring, 3, 2)
+                                for _ in range(2)) if not g.is_zero()]
+            G = gb_buchberger(gens, order)
+            basis = list(G)
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    s = s_polynomial(basis[i], basis[j], order)
+                    assert normal_form(s, G).is_zero()
+            for g in gens:
+                assert normal_form(g, G).is_zero()
+
+
 class TestHandedKernel:
     """``gb_buchberger`` hands its packed rows to the basis it returns; that
     kernel divides exactly as one packed afresh from the generators."""

@@ -147,6 +147,28 @@ class TestTermOrders:
         o2 = TermOrder.parse("degrevlex x>y>z")
         assert o2.kind == "degrevlex"
 
+    def test_block_order(self):
+        ring = PolyRing(("s", "x", "y", "t"))
+        geo = TermOrder.degrevlex(("x", "y"))
+        order = geo.then(TermOrder.lex(("t",)))
+        assert order.kind == "block"
+        assert order.priority == ("x", "y", "t")
+        assert repr(order) == "degrevlex x>y, lex t"
+        assert order == geo.then(TermOrder.lex(("t",)))
+        assert order != TermOrder.degrevlex(("x", "y", "t"))
+        # for_ring completes the last block, and keeps an order it need
+        # not complete
+        full = order.for_ring(ring)
+        assert full == geo.then(TermOrder.lex(("t", "s")))
+        assert full.for_ring(ring) is full
+        with pytest.raises(ValueError):
+            geo.then(TermOrder.lex(("y",)))
+        with pytest.raises(ValueError, match="unknown order kind 'foo'"):
+            TermOrder("lex", ("x",), ("foo", ("y",)))
+        # the geometric block decides first: x*y > x*t^5 > y*s
+        key = order.key_function(ring)
+        assert key((0, 1, 1, 0)) > key((0, 1, 0, 5)) > key((1, 0, 1, 0))
+
     def test_multiplicative(self):
         key = TermOrder.degrevlex(("x", "y")).key_function(R)
         rng = random.Random(7)
