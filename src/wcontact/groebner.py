@@ -29,6 +29,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificationFailed, InfiniteColength
+from .linalg import _primitive_row
 from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_divides,
                    mono_lcm)
 
@@ -346,14 +347,6 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     rem, mult = reducer.reduce(reducer.encode(row))
     scale /= mult
     return Poly(G.ring, {e: c * scale for e, c in reducer.decode(rem).items()})
-
-
-def _primitive_row(row: Dict, lead) -> Dict:
-    """Divide by the integer content, signed so the lead coefficient is > 0."""
-    d = math.gcd(*row.values())
-    if row[lead] < 0:
-        d = -d
-    return {e: c // d for e, c in row.items()}
 
 
 def gb_buchberger(gens: Sequence[Poly], order: TermOrder,

@@ -33,15 +33,21 @@ def truncate_poly(p: Poly, var_names: Sequence[str], N: int) -> Poly:
 def truncated_product(a: Poly, b: Poly, var_names: Sequence[str],
                       N: int) -> Poly:
     """``truncate_poly(a * b, var_names, N)`` without forming any term pair
-    whose degree in the given variables exceeds N."""
+    whose degree in the given variables exceeds N.
+
+    Multiplies the primitive integer rows of a and b, and builds each
+    coefficient of the result once, as a ``Fraction``, from the product of
+    their scales."""
     if a.ring != b.ring:
         raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
     idx = [a.ring.index(v) for v in var_names]
+    arow, ascale = a.primitive_terms()
+    brow, bscale = b.primitive_terms()
     # b's terms in ascending degree, so each term of a pairs with a prefix
-    graded = sorted((sum(e[i] for i in idx), e, c) for e, c in b.terms.items())
+    graded = sorted((sum(e[i] for i in idx), e, c) for e, c in brow.items())
     degrees = [d for d, _, _ in graded]
-    terms: Dict[Exponents, Fraction] = {}
-    for e1, c1 in a.terms.items():
+    terms: Dict[Exponents, int] = {}
+    for e1, c1 in arow.items():
         cut = bisect_right(degrees, N - sum(e1[i] for i in idx))
         for _, e2, c2 in graded[:cut]:
             e = tuple(map(int.__add__, e1, e2))
@@ -50,7 +56,9 @@ def truncated_product(a: Poly, b: Poly, var_names: Sequence[str],
                 terms[e] = s
             else:
                 terms.pop(e, None)
-    return Poly(a.ring, terms)
+    scale = ascale * bscale
+    n, d = scale.numerator, scale.denominator
+    return Poly(a.ring, {e: Fraction(c * n, d) for e, c in terms.items()})
 
 
 class TruncatedSeries:
@@ -315,22 +323,30 @@ class LocalIdeal:
             # tail sits deeper in the maximal ideal than its pivot
             return (-deg(e), grkey(e))
 
-        gens = [{self._restrict(e): c for e, c in g.terms.items()}
+        # each generator's primitive integer row spans the same line
+        gens = [{self._restrict(e): c
+                 for e, c in g.primitive_terms()[0].items()}
                 for g in self.generators]
 
         # span of the image of the ideal in Q[vars]/m^(N+1)
         monomials = _monomials_up_to(nv, N)
-        # (multiplying by a monomial is injective, so no terms collide)
-        rows = []
-        for g in gens:
-            gmin = min(deg(e) for e in g)
-            for m in monomials:
-                dm = deg(m)
-                if dm + gmin <= N:
-                    rows.append({mono_mul(m, e): c for e, c in g.items()
-                                 if dm + deg(e) <= N})
+        # the local order is a total order on the monomials, so their rank
+        # in it picks the same leads as the key
+        rank = {m: i for i, m in enumerate(sorted(monomials, key=key))}
 
-        pivots = echelon(rows, key)
+        def rows():
+            # (multiplying by a monomial is injective, so no terms collide)
+            for g in gens:
+                gmin = min(deg(e) for e in g)
+                for m in monomials:
+                    dm = deg(m)
+                    if dm + gmin <= N:
+                        yield {mono_mul(m, e): c for e, c in g.items()
+                               if dm + deg(e) <= N}
+
+        # each row is made as the elimination takes it, so the rows are
+        # never all held at once
+        pivots = echelon(rows(), rank.__getitem__)
         # smallest j such that every degree-j monomial is a pivot: its tail
         # then lies in m^(j+1), so m^j is contained in I + m^(j+1) and hence
         # in I by Nakayama

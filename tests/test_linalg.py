@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import sympy
 
-from wcontact.linalg import MatrixQ
+from wcontact.linalg import MatrixQ, echelon
 from wcontact.nondegeneracy import PhiReport
+from wcontact.poly import PolyRing, TermOrder
 
 
 class TestBasics:
@@ -129,3 +130,123 @@ class TestCokernel:
         rep = PhiReport.from_matrix(MatrixQ([]))
         assert (rep.rank, rep.quotient_dimension, rep.surjective,
                 rep.cokernel_monomials) == (0, 0, True, [])
+
+
+def fraction_echelon(rows, key):
+    """The elimination over Q on Fraction rows, with monic pivots
+    throughout: the fraction-free ``echelon`` must give the same leads, the
+    same rows and the same insertion orders."""
+    pivots = {}
+    tails = {}
+    for row in rows:
+        row = dict(row)
+        for lead in [e for e in row if e in pivots]:
+            f = row.pop(lead)
+            for e, c in pivots[lead].items():
+                if e == lead:
+                    continue
+                s = row.get(e, 0) - f * c
+                if s:
+                    row[e] = s
+                else:
+                    del row[e]
+        if not row:
+            continue
+        lead = max(row, key=key)
+        lc = row[lead]
+        row = {e: c / lc for e, c in row.items()}
+        for plead in tails.pop(lead, ()):
+            prow = pivots[plead]
+            f = prow[lead]
+            for e, c in row.items():
+                s = prow.get(e, 0) - f * c
+                if s:
+                    if e not in prow:
+                        tails.setdefault(e, set()).add(plead)
+                    prow[e] = s
+                else:
+                    del prow[e]
+                    if e != lead:
+                        tails[e].discard(plead)
+        for e in row:
+            if e != lead:
+                tails.setdefault(e, set()).add(lead)
+        pivots[lead] = row
+    return pivots
+
+
+def _ordered(pivots):
+    """Leads and rows with their dict orders, and the type of every entry."""
+    return [(lead, list(row.items()), {type(c) for c in row.values()})
+            for lead, row in pivots.items()]
+
+
+def _sparse_rows(rng, columns):
+    """Sparse rational rows over ``columns``, with duplicate rows, scaled
+    copies, empty rows and combinations of earlier rows (rank deficiency)."""
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            fa = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            fb = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            row = {e: fa * a.get(e, 0) + fb * b.get(e, 0)
+                   for e in list(a) + list(b)}
+            rows.append({e: c for e, c in row.items() if c})
+        elif kind < 0.35:
+            rows.append({})
+        else:
+            cols = rng.sample(columns, rng.randint(1, min(5, len(columns))))
+            rows.append({e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 12),
+                                     rng.randint(1, 6)) for e in cols})
+    return rows
+
+
+_GRKEY = TermOrder.degrevlex(("x", "y", "z")).key_function(
+    PolyRing(("x", "y", "z")))
+
+
+def _local_key(e):
+    """The local order of ``LocalIdeal``: the lowest degree leads."""
+    return (-sum(e), _GRKEY(e))
+
+
+class TestFractionFreeEchelon:
+    def test_matches_fraction_oracle(self):
+        """Over 400 seeded row sets, on integer columns under int.__neg__
+        and on exponent tuples under a local order."""
+        rng = random.Random(16)
+        monos = [(a, b, c) for a in range(3) for b in range(3)
+                 for c in range(3) if a + b + c <= 3]
+        for n in range(400):
+            if n % 2:
+                columns, key = monos, _local_key
+            else:
+                columns, key = list(range(rng.randint(1, 9))), int.__neg__
+            rows = _sparse_rows(rng, columns)
+            got = echelon(iter(rows), key)
+            assert _ordered(got) == _ordered(fraction_echelon(rows, key))
+            for lead, row in got.items():
+                assert row[lead] == 1
+
+    def test_empty_input(self):
+        assert echelon([], int.__neg__) == {}
+        assert echelon([{}, {}], int.__neg__) == {}
+
+    def test_large_common_content(self):
+        """Rows sharing a large prime content give the exact monic rows
+        of the rows without it."""
+        p = 2 ** 127 - 1
+        rows = [{0: Fraction(3, 7), 1: Fraction(1), 2: Fraction(-5, 2)},
+                {0: Fraction(2), 2: Fraction(4, 9)},
+                {1: Fraction(-1, 3), 3: Fraction(6)}]
+        scaled = [{e: c * p for e, c in row.items()} for row in rows]
+        got = echelon(scaled, int.__neg__)
+        assert _ordered(got) == _ordered(fraction_echelon(rows, int.__neg__))
+        assert got == fraction_echelon(scaled, int.__neg__)
+        assert all(type(c) is Fraction and c.denominator < p and
+                   abs(c.numerator) < p for row in got.values()
+                   for c in row.values())

@@ -99,6 +99,22 @@ class TestTruncatedProduct:
             N = rng.randint(0, 9)
             assert truncated_product(a, b, small, N) == \
                 truncate_poly(a * b, small, N)
+        gens = [ring.var(v) for v in names]
+        cases = [
+            (ring.zero(), _random_poly(rng, ring, 5)),  # a zero operand
+            (_random_poly(rng, ring, 5), ring.zero()),
+            # (u + v)(u - v) and (1 + u)(1 - u + u^2): the cross terms cancel
+            (gens[0] + gens[-1], gens[0] - gens[-1]),
+            (1 + gens[0], 1 - gens[0] + gens[0] ** 2),
+            # coprime denominators on both sides
+            (Fraction(1, 3) * gens[0] + Fraction(2, 7),
+             Fraction(5, 11) * gens[-1] - Fraction(1, 13) * gens[0] ** 2),
+        ]
+        for a, b in cases:
+            for N in range(5):
+                got = truncated_product(a, b, names, N)
+                assert got == truncate_poly(a * b, names, N)
+                assert all(type(c) is Fraction for c in got.terms.values())
 
     def test_series_product_uses_the_smaller_order(self):
         u = TruncatedSeries(1 + x + y, 5, ("x", "y"))
