@@ -11,10 +11,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (InconsistentResult, NotAUnit, SamplingFailed,
                      UnknownVariable, WrongKind)
 from .families import ContactFamily
-from .groebner import (GroebnerBasis, gb_buchberger, normal_form,
+from .groebner import (GroebnerBasis, _buchberger, gb_buchberger, normal_form,
                        staircase_complement)
-from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .poly import (Exponents, Poly, PolyRing, Specialization, TermOrder,
+                   mono_div, mono_divides, mono_lcm, mono_mul)
 
 
 def _minimal_monomial_generators(monos: Sequence[Exponents]) -> List[Exponents]:
@@ -297,10 +297,14 @@ def verify_membership_equivalence(F: ContactFamily,
     specialized ideal are rejected and redrawn.  Each caller-supplied point
     in ``extra_points`` must name parameters only.
 
-    Every polynomial is specialized in one pass (``Poly.specialize``),
-    straight into the ring of the check.  A dict local to the call keeps
-    the degrevlex basis of each specialized curve ideal, so a
-    parameter-free ideal gets one curve basis per call.
+    The check runs on primitive integer rows from specialisation to
+    verdict, and builds no ``Poly`` on the way.  E, the ideal's generators,
+    g and the graph relation (f - z*g or z - E, formed once in the ring with
+    z) are each compiled once per call into a ``Specialization`` for the
+    names a point gives; at each point they evaluate to integer rows.  The
+    bases are ``_buchberger``'s kernels, and each membership is a zero
+    remainder of a kernel division.  An ideal whose generators involve no
+    free parameter gets one curve basis per call.
 
     One reduced lex basis of the lift, z first, serves both checks.  By the
     Elimination Theorem its z-free part ``low`` is a reduced basis of the
@@ -310,6 +314,8 @@ def verify_membership_equivalence(F: ContactFamily,
     leaves the same remainder: under lex with z first, only a z-free lead
     divides a z-free monomial, and a row with a z-free lead is z-free
     throughout, so the division of a z-free polynomial meets only ``low``.
+    For the same reason ``low`` is read off the leads, and its rows become
+    rows in (x, y) by dropping z.
     """
     rng = random.Random(seed)
     ring_all = F.E.ring
@@ -328,12 +334,27 @@ def verify_membership_equivalence(F: ContactFamily,
     geo_order = TermOrder.degrevlex(geo_ring.variables)
     elim_order = TermOrder.lex(("z", F.x, F.y))
 
+    graph_ring = F.E.ring.extend(("z",))
+    z = graph_ring.var("z")
     if F.kind == "contact":
         target = an_surface(F.w - 1, z_ring)
+        graph = F.f.map_to(graph_ring) - z * F.g.map_to(graph_ring)
     else:
         target = z_ring.var("z")
+        graph = z - F.E.map_to(graph_ring)
+    target_row = target.primitive_terms()[0]
 
-    curve_bases: Dict[Tuple[Poly, ...], GroebnerBasis] = {}
+    def compiled(names: Tuple[str, ...]):
+        return (Specialization(F.E, names, geo_ring),
+                [Specialization(p, names, geo_ring) for p in ideal_gens],
+                Specialization(F.g, names, geo_ring)
+                if F.kind == "contact" else None,
+                Specialization(graph, names, z_ring))
+
+    plans: Dict[Tuple[str, ...], tuple] = {}
+    fixed_curve = not any(set(p.variables_used()) & set(free_params)
+                          for p in ideal_gens)
+    curve = None
     results: List[SampleResult] = []
     rejected = 0
     pending = list(extra_points)
@@ -346,45 +367,42 @@ def verify_membership_equivalence(F: ContactFamily,
             point = dict(pending.pop(0))
         else:
             point = {v: _random_rational(rng) for v in free_params}
+        names = tuple(v for v in free_params if v in point)
+        plan = plans.get(names)
+        if plan is None:
+            plan = plans[names] = compiled(names)
+        E_plan, gen_plans, g_plan, graph_plan = plan
 
-        E_spec = F.E.specialize(point, geo_ring)
-        gens_spec = [g for g in (p.specialize(point, geo_ring)
-                                 for p in ideal_gens) if not g.is_zero()]
-        if not gens_spec:
+        E_row = E_plan(point)[0]
+        gens_rows = [r for r in (q(point)[0] for q in gen_plans) if r]
+        if not gens_rows:
             rejected += 1
             continue
 
-        if F.kind == "contact":
-            g_spec = F.g.specialize(point, geo_ring)
-            if g_spec.is_zero():
+        if g_plan:
+            g_row = g_plan(point)[0]
+            if not g_row:
                 rejected += 1
                 continue
-            if not g_spec.is_constant():
-                inv_check = gb_buchberger(gens_spec + [g_spec], geo_order,
-                                          stop_at_unit=True)
-                if not inv_check.is_unit_ideal():
+            if any(map(any, g_row)):  # g is not constant: is it a unit?
+                inv_check = _buchberger(gens_rows + [g_row], geo_order,
+                                        geo_ring, stop_at_unit=True)
+                if all(map(any, inv_check.exps)):  # no constant lead
                     rejected += 1
                     continue
-        key = tuple(gens_spec)
-        curve_gb = curve_bases.get(key)
-        if curve_gb is None:
-            curve_gb = curve_bases[key] = gb_buchberger(gens_spec, geo_order)
-        in_curve = normal_form(E_spec, curve_gb).is_zero()
+        if curve is None or not fixed_curve:
+            curve = _buchberger(gens_rows, geo_order, geo_ring)
+        in_curve = curve.reduces_to_zero(E_row)
 
-        if F.kind == "contact":
-            graph = (F.f.specialize(point, z_ring)
-                     - z_ring.var("z") * F.g.specialize(point, z_ring))
-        else:
-            graph = z_ring.var("z") - E_spec.map_to(z_ring)
-        lifted = [g.map_to(z_ring) for g in gens_spec] + [graph]
-        lex_gb = gb_buchberger(lifted, elim_order)
-        in_surface = normal_form(target, lex_gb).is_zero()
+        lifted = [{e + (0,): c for e, c in r.items()} for r in gens_rows]
+        lex = _buchberger(lifted + [graph_plan(point)[0]], elim_order, z_ring)
+        in_surface = lex.reduces_to_zero(target_row)
 
-        low = [g for g in lex_gb if g.degree_in("z") == 0]
+        low = [{e[:2]: c for e, c in lex.decode(r).items()}
+               for r, lead in zip(lex.rows, lex.exps) if not lead[2]]
         elim_ok = (bool(low)
-                   and all(normal_form(g, curve_gb).is_zero() for g in low)
-                   and all(normal_form(g, lex_gb).is_zero()
-                           for g in gens_spec))
+                   and all(map(curve.reduces_to_zero, low))
+                   and all(map(lex.reduces_to_zero, lifted)))
 
         results.append(SampleResult(
             point={k: str(v) for k, v in sorted(point.items())},

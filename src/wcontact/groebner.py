@@ -16,25 +16,25 @@ so one int is at once the dict key of a term, its heap entry and its cache
 key.  A carry into a guard bit means a field overflowed; the kernel then
 re-encodes with wider fields and divides again (see ``_Reducer``).  Rows are
 encoded once, when they enter a basis, and decoded once, into ``Poly``
-results; exponent tuples stay the interface of the rest of the package
-(``Poly.terms``, ``leading_monomials()``, the pair criteria).
+results or into the integer rows (``Row``) of a caller that never leaves
+them (``_buchberger``, ``_Reducer.reduces_to_zero``); exponent tuples stay
+the interface of the rest of the package (``Poly.terms``,
+``leading_monomials()``, the pair criteria).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificationFailed, InfiniteColength
 from .linalg import _primitive_row
-from .poly import (Exponents, Poly, PolyRing, TermOrder, mono_divides,
-                   mono_lcm)
+from .poly import (Exponents, Poly, PolyRing, Row, TermOrder, from_row,
+                   mono_divides, mono_lcm)
 
 
-Row = Dict[Exponents, int]
 Packed = Dict[int, int]
 
 # field widths start where n fields fill 60 bits: a packed monomial then
@@ -172,6 +172,11 @@ class _Reducer:
     def decode(self, row: Packed) -> Row:
         unpack = self.code.unpack
         return {unpack(m): c for m, c in row.items()}
+
+    def reduces_to_zero(self, row: Row) -> bool:
+        """Does ``row`` leave a zero remainder?  For rows that form a
+        Groebner basis: does it lie in their ideal?"""
+        return not self.reduce(self.encode(row))[0]
 
     def append(self, row: Packed) -> int:
         """Enter a nonzero row; returns its index."""
@@ -351,26 +356,10 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
 
 def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
                   stop_at_unit: bool = False) -> GroebnerBasis:
-    """Reduced Groebner basis of <gens> by Buchberger's algorithm.
-
-    The basis is kept as primitive integer rows: denominators are cleared
-    once on input and each row is divided by its integer content when it
-    enters the basis.  S-polynomials and reductions are fraction-free, by
-    the same kernel that ``normal_form`` uses.  The input enters first, in
-    increasing lead order (Giovini et al., "One sugar cube, please", ISSAC
-    1991): each generator is reduced by the smaller leads before it divides
-    others, so no large unreduced input scales every later division.  Pairs
-    are then selected by the sugar strategy and pruned by the Gebauer-Moeller
-    update (criteria M, F and B and the coprime-lead criterion), run once for
-    each new basis element; an element whose lead a newer lead divides gets
-    no new pairs.  With ``stop_at_unit`` the computation returns the basis
-    {1} as soon as a constant enters the basis.
-
-    The returned basis reuses the kernel and its encoding: the reduced rows
-    are appended, already packed, to a second ``_Reducer`` that starts from
-    the encoding of the first, and are decoded once, into the ``Poly``
-    generators.
-    """
+    """Reduced Groebner basis of <gens> by Buchberger's algorithm: the
+    primitive integer rows of the nonzero generators go through
+    ``_buchberger``, and the reduced rows are decoded once, into the
+    ``Poly`` generators of a basis that keeps the kernel holding them."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
@@ -378,8 +367,35 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    order = order.for_ring(ring)
+    basis = _buchberger([g.primitive_terms()[0] for g in gens], order, ring,
+                        stop_at_unit)
+    return GroebnerBasis([from_row(ring, basis.decode(r)) for r in basis.rows],
+                         basis.code.order, True, basis)
 
+
+def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
+                stop_at_unit: bool = False) -> _Reducer:
+    """The reduced Groebner basis of the ideal of the nonzero primitive
+    integer rows over ``ring``, as a kernel holding its rows, primitive with
+    positive lead coefficients, in increasing lead order.
+
+    The basis is kept as primitive integer rows: each row is divided by its
+    integer content when it enters the basis.  S-polynomials and reductions
+    are fraction-free, by the same kernel that ``normal_form`` uses.  The
+    input enters first, in increasing lead order (Giovini et al., "One sugar
+    cube, please", ISSAC 1991): each generator is reduced by the smaller
+    leads before it divides others, so no large unreduced input scales
+    every later division.  Pairs are then selected by the sugar strategy and
+    pruned by the Gebauer-Moeller update (criteria M, F and B and the
+    coprime-lead criterion), run once for each new basis element; an
+    element whose lead a newer lead divides gets no new pairs.  With
+    ``stop_at_unit`` the computation returns the basis {1} as soon as a
+    constant enters the basis.
+
+    The reduced rows are appended, already packed, to a second ``_Reducer``
+    that starts from the encoding of the first.
+    """
+    order = order.for_ring(ring)
     basis = _Reducer(order, ring)
     leads = basis.exps
     sugars: List[int] = []
@@ -414,12 +430,11 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
         active.append(h)
         return not any(lh)
 
-    rows = [g.primitive_terms()[0] for g in gens]
     code = basis.code
     packed = [basis.encode(row) for row in rows]
     if basis.code is not code:  # an encode widened: pack all by the last one
         packed = [basis.encode(row) for row in rows]
-    pending = sorted(zip(packed, map(Poly.total_degree, gens)),
+    pending = sorted(zip(packed, [max(map(sum, row)) for row in rows]),
                      key=lambda p: max(p[0]))
     unit_found = False
     while pending and not unit_found:
@@ -439,7 +454,7 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
             unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:
-        return GroebnerBasis([ring.one()], order, True)
+        return _Reducer(order, ring, [{(0,) * ring.nvars: 1}])
 
     # the active leads are minimal; reduce the tails for the reduced basis
     # (no lead divides a monomial below it, so a row never reduces its tail)
@@ -453,9 +468,7 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
             final._widen({})
         row[basis.leads[g]] = lc * mult  # read after reduce: it may re-encode
         final.append(_primitive_row(row, basis.leads[g]))
-    gens = [Poly(ring, {e: Fraction(c) for e, c in final.decode(r).items()})
-            for r in final.rows]
-    return GroebnerBasis(gens, order, True, final)
+    return final
 
 
 def ideal_membership(p: Poly, gens: Sequence[Poly], order: TermOrder) -> bool:

@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import ParseError, UnknownVariable
 
 Exponents = Tuple[int, ...]
+Row = Dict[Exponents, int]  # an integer row: a polynomial up to a scale
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
 
@@ -192,16 +194,11 @@ class Poly:
             a, b = other, self
         else:
             a, b = self, other
-        terms: Dict[Exponents, Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        arow, ascale = a.primitive_terms()
+        brow, bscale = b.primitive_terms()
+        scale = ascale * bscale
+        return from_row(self.ring, row_product(arow, list(brow.items())),
+                        scale.numerator, scale.denominator)
 
     __rmul__ = __mul__
 
@@ -294,50 +291,15 @@ class Poly:
 
         Names that are not variables of this ring are ignored.  A variable
         that survives the substitution must be one of ``ring``'s, or
-        UnknownVariable is raised, as by ``map_to``."""
-        values: List[Tuple[int, Fraction]] = []
-        moves: List[Tuple[int, int]] = []  # (index here, index in ring or -1)
-        for i, v in enumerate(self.ring.variables):
-            if v in point:
-                val = point[v]
-                if not isinstance(val, Fraction):
-                    val = Fraction(val)
-                values.append((i, val))
-            else:
-                moves.append((i, ring._index.get(v, -1)))
-        powers = {(i, 1): v for i, v in values}
-        terms: Dict[Exponents, Fraction] = {}
-        stray: Dict[Exponents, Fraction] = {}  # terms in a variable not in ring
-        n = ring.nvars
-        for e, c in self.terms.items():
-            for i, v in values:
-                k = e[i]
-                if k:
-                    p = powers.get((i, k))
-                    if p is None:
-                        p = powers[i, k] = v ** k
-                    c *= p
-            if not c:
-                continue
-            new = [0] * n
-            for i, j in moves:
-                k = e[i]
-                if k:
-                    if j < 0:
-                        rest = tuple(e[m] for m, _ in moves)
-                        stray[rest] = stray.get(rest, 0) + c
-                        break
-                    new[j] = k
-            else:
-                new = tuple(new)
-                s = terms.get(new)
-                terms[new] = c if s is None else s + c
-        for rest, c in stray.items():
-            if c:
-                name = next(self.ring.variables[i]
-                            for (i, j), k in zip(moves, rest) if k and j < 0)
-                raise UnknownVariable(f"variable {name!r} not in {ring!r}")
-        return Poly(ring, {e: c for e, c in terms.items() if c})
+        UnknownVariable is raised, as by ``map_to``.  The work is done by a
+        ``Specialization``, compiled and evaluated once."""
+        live = self
+        zeros = [i for i, v in enumerate(self.ring.variables)
+                 if v in point and point[v] == 0]
+        if zeros:  # terms that a zero takes to 0 need no compiling
+            live = Poly(self.ring, {e: c for e, c in self.terms.items()
+                                    if not any([e[i] for i in zeros])})
+        return from_row(ring, *Specialization(live, point, ring)(point))
 
     def eval(self, point: Dict[str, "int | Fraction"]) -> Fraction:
         """Evaluate at a rational point assigning every used variable."""
@@ -387,14 +349,14 @@ class Poly:
         """
         if not self.terms:
             return {}, Fraction(1)
-        denom_lcm = 1
-        for c in self.terms.values():
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        ints = {e: c.numerator * (denom_lcm // c.denominator)
-                for e, c in self.terms.items()}
+        dens = [c.denominator for c in self.terms.values()]
+        denom_lcm = math.lcm(*dens)
+        ints = {e: c.numerator * (denom_lcm // d)
+                for (e, c), d in zip(self.terms.items(), dens)}
         num_gcd = math.gcd(*ints.values())
-        return ({e: c // num_gcd for e, c in ints.items()},
-                Fraction(num_gcd, denom_lcm))
+        if num_gcd != 1:
+            ints = {e: c // num_gcd for e, c in ints.items()}
+        return ints, Fraction(num_gcd, denom_lcm)
 
     # -- printing ---------------------------------------------------------
 
@@ -408,6 +370,106 @@ class Poly:
         return poly_str(self)
 
     __repr__ = __str__
+
+
+# -- integer rows ----------------------------------------------------------
+
+def from_row(ring: PolyRing, row: Row, n: int = 1, d: int = 1) -> Poly:
+    """The polynomial (n/d)·row, d > 0, built with one ``Fraction`` per
+    term."""
+    return Poly(ring, {e: Fraction(c * n, d) for e, c in row.items()})
+
+
+def row_product(a: Row, b: Sequence[Tuple[Exponents, int]],
+                cut: Optional[Callable[[Exponents], int]] = None) -> Row:
+    """The product of the integer rows a and b, b given as its (exponents,
+    coefficient) pairs; with ``cut``, a term e of a meets only the first
+    cut(e) pairs of b.  A sum that cancels leaves the dict, so the terms
+    come in the order in which they last appear."""
+    terms: Row = {}
+    for e1, c1 in a.items():
+        for e2, c2 in (b[:cut(e1)] if cut else b):
+            e = tuple(map(int.__add__, e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return terms
+
+
+class Specialization:
+    """A polynomial p compiled for substituting constants for the variables
+    of its ring that ``names`` holds and writing the result into ``ring``;
+    calling it at a point specialises p there on integers alone.
+
+    Each term keeps its coefficient c in the primitive form of p, its
+    exponents k_i in the substituted variables and its exponents in
+    ``ring``.  At values n_i/d_i it is worth c·Π n_i^k_i·d_i^(K_i−k_i), K_i
+    the largest k_i in p: its value times p's scale and Π d_i^K_i.  A term
+    in a variable that is neither substituted nor in ``ring`` is *stray*:
+    it is keyed by that variable's name and its exponents outside the
+    substitution instead, and a stray key whose sum is nonzero raises
+    UnknownVariable, as ``map_to`` does.
+    """
+
+    __slots__ = ("ring", "names", "degrees", "scale", "terms", "stray")
+
+    def __init__(self, p: Poly, names, ring: PolyRing):
+        variables = p.ring.variables
+        kept = [i for i, v in enumerate(variables) if v not in names]
+        # where each exponent in ring comes from (-1: it is 0), and the
+        # variables that make a term stray
+        take = [-1 if v in names else p.ring._index.get(v, -1)
+                for v in ring.variables]
+        out = [i for i in kept if variables[i] not in ring._index]
+        fixed = [i for i, v in enumerate(variables)
+                 if v in names and any([e[i] for e in p.terms])]
+        self.ring = ring
+        self.names = tuple([variables[i] for i in fixed])
+        self.degrees = tuple([max([e[i] for e in p.terms]) for i in fixed])
+        row, self.scale = p.primitive_terms()
+        self.terms: List[Tuple[tuple, int, Exponents]] = []  # (key, c, k)
+        self.stray = set()
+        for e, c in row.items():
+            i = next((i for i in out if e[i]), -1) if out else -1
+            if i < 0:
+                key = tuple([e[j] if j >= 0 else 0 for j in take])
+            else:
+                key = (variables[i], tuple([e[j] for j in kept]))
+                self.stray.add(key)
+            self.terms.append((key, c, tuple([e[j] for j in fixed])))
+
+    def __call__(self, point: Dict[str, "int | Fraction"]
+                 ) -> Tuple[Row, int, int]:
+        """(row, n, d) with the specialised polynomial (n/d)·row, d > 0 and
+        ``row`` primitive (empty for zero), its terms in the order of their
+        first nonzero contribution."""
+        tables = []
+        den = 1
+        for name, top in zip(self.names, self.degrees):
+            v = point[name]
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            a, b = v.numerator, v.denominator
+            tables.append([a ** k * b ** (top - k) for k in range(top + 1)])
+            den *= b ** top
+        row: Row = {}
+        for e, c, ks in self.terms:
+            for table, k in zip(tables, ks):
+                c *= table[k]
+            if c:
+                s = row.get(e)
+                row[e] = c if s is None else s + c
+        if self.stray:
+            for key, c in row.items():
+                if c and key in self.stray:
+                    raise UnknownVariable(
+                        f"variable {key[0]!r} not in {self.ring!r}")
+        content = math.gcd(*row.values()) or 1  # 0 when every sum cancelled
+        row = {e: c // content for e, c in row.items() if c}
+        return (row, self.scale.numerator * content,
+                self.scale.denominator * den)
 
 
 def poly_str(p: Poly, order: "TermOrder" = None) -> str:

@@ -17,7 +17,8 @@ from .errors import (CertificationFailed, ContactOrderMismatch,
                      InconsistentBranchCount, InfiniteColength, NotAUnit,
                      NotIsolated)
 from .linalg import echelon
-from .poly import Exponents, Poly, PolyRing, TermOrder, mono_mul
+from .poly import (Exponents, Poly, PolyRing, TermOrder, from_row, mono_mul,
+                   row_product)
 
 DEFAULT_TRUNCATION = 12
 TRUNCATION_CAP = 48
@@ -44,21 +45,13 @@ def truncated_product(a: Poly, b: Poly, var_names: Sequence[str],
     arow, ascale = a.primitive_terms()
     brow, bscale = b.primitive_terms()
     # b's terms in ascending degree, so each term of a pairs with a prefix
-    graded = sorted((sum(e[i] for i in idx), e, c) for e, c in brow.items())
-    degrees = [d for d, _, _ in graded]
-    terms: Dict[Exponents, int] = {}
-    for e1, c1 in arow.items():
-        cut = bisect_right(degrees, N - sum(e1[i] for i in idx))
-        for _, e2, c2 in graded[:cut]:
-            e = tuple(map(int.__add__, e1, e2))
-            s = terms.get(e, 0) + c1 * c2
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+    graded = sorted(brow.items(),
+                    key=lambda t: (sum(t[0][i] for i in idx), t[0]))
+    degrees = [sum(e[i] for i in idx) for e, _ in graded]
+    terms = row_product(arow, graded, lambda e1: bisect_right(
+        degrees, N - sum(e1[i] for i in idx)))
     scale = ascale * bscale
-    n, d = scale.numerator, scale.denominator
-    return Poly(a.ring, {e: Fraction(c * n, d) for e, c in terms.items()})
+    return from_row(a.ring, terms, scale.numerator, scale.denominator)
 
 
 class TruncatedSeries:

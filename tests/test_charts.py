@@ -16,7 +16,7 @@ from wcontact.charts import (GroebnerStratumChart, an_surface,
 from wcontact.errors import (InfiniteColength, SamplingFailed,
                              UnknownVariable, WrongKind)
 from wcontact.families import ContactFamily, multiply_unit
-from wcontact.groebner import (GroebnerBasis, gb_buchberger, normal_form,
+from wcontact.groebner import (_Reducer, gb_buchberger, normal_form,
                               standard_monomials)
 from wcontact.poly import Poly, PolyRing, TermOrder
 
@@ -353,6 +353,23 @@ class TestMembershipCorrespondence:
                     fam_st(), [RST.parse("y"), RST.parse("x^4")], samples=1,
                     extra_points=[point])
 
+    def test_partial_point_raises_the_typed_error(self):
+        # a point that leaves t free: t survives in E, whose specialisation
+        # must land in (x, y)
+        with pytest.raises(UnknownVariable) as err:
+            verify_membership_equivalence(
+                fam_st(), [RST.parse("y"), RST.parse("x^2")],
+                extra_points=[{"s": 1}])
+        assert str(err.value) == "variable 't' not in PolyRing(x, y)"
+        # a parameter the point leaves out is harmless where it vanishes
+        report = verify_membership_equivalence(
+            ContactFamily.contact(RST.parse("y^2 + x^4 + s*t*x*y"),
+                                  ("s", "t")),
+            [RST.parse("y"), RST.parse("x^4")], samples=2, seed=1,
+            extra_points=[{"s": 0}])
+        assert report.samples[0].point == {"s": "0"}
+        assert report.ok
+
     def test_deterministic_in_seed(self):
         F = fam_st()
         a = verify_membership_equivalence(F, [RST.parse("y"),
@@ -485,15 +502,15 @@ class TestOneLexBasis:
     def test_one_curve_basis_per_call_for_a_parameter_free_ideal(
             self, monkeypatch, family):
         F, gens = SAMPLED_FAMILIES[family], SAMPLED_IDEALS[2]
-        real = charts.gb_buchberger
+        real = charts._buchberger
         curve_bases = []
 
-        def counting(polys, order, stop_at_unit=False):
+        def counting(rows, order, ring, stop_at_unit=False):
             if order.kind == "degrevlex" and not stop_at_unit:
-                curve_bases.append(polys)
-            return real(polys, order, stop_at_unit=stop_at_unit)
+                curve_bases.append(rows)
+            return real(rows, order, ring, stop_at_unit=stop_at_unit)
 
-        monkeypatch.setattr(charts, "gb_buchberger", counting)
+        monkeypatch.setattr(charts, "_buchberger", counting)
         report = verify_membership_equivalence(F, gens, samples=5, seed=9)
         assert len(curve_bases) == 1
         want, rejected = four_basis_oracle(F, gens, 5, 9)
@@ -527,19 +544,20 @@ class TestOneLexBasis:
                                                    family):
         # negative control: a lex basis missing one z-free element no longer
         # generates the elimination ideal, and the check must say so
-        real = charts.gb_buchberger
+        real = charts._buchberger
 
-        def tampered(gens, order, **kw):
-            G = real(gens, order, **kw)
+        def tampered(rows, order, ring, **kw):
+            G = real(rows, order, ring, **kw)
             if order.kind != "lex":
                 return G
-            zi = G.ring.index("z")
-            low = [g for g in G if all(e[zi] == 0 for e in g.terms)]
+            zi = ring.index("z")
+            basis = [G.decode(r) for r in G.rows]
+            low = [r for r in basis if all(e[zi] == 0 for e in r)]
             assert len(low) >= 2
-            kept = [g for g in G if g is not low[drop]]
-            return GroebnerBasis(kept, G.order, True)
+            kept = [r for r in basis if r is not low[drop]]
+            return _Reducer(order, ring, kept)
 
-        monkeypatch.setattr(charts, "gb_buchberger", tampered)
+        monkeypatch.setattr(charts, "_buchberger", tampered)
         report = verify_membership_equivalence(
             SAMPLED_FAMILIES[family], SAMPLED_IDEALS[0], samples=4, seed=5)
         assert not any(s.elimination_ok for s in report.samples)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, printing and term orders."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcontact.errors import ParseError, UnknownVariable
-from wcontact.poly import Poly, PolyRing, TermOrder, canonical_form, poly_str
+from wcontact.poly import (Poly, PolyRing, Specialization, TermOrder,
+                           canonical_form, from_row, poly_str)
 
 
 R = PolyRing(("x", "y"))
@@ -46,6 +48,37 @@ class TestArithmetic:
         q = (x + y).map_to(big)
         assert q.ring is not R
         assert str(q) == str(x + y)
+
+    def test_product_matches_fraction_products(self):
+        # the product as it was written on Fraction coefficients is the
+        # oracle: the same terms, each a Fraction, in the same dict order
+        def fraction_product(a, b):
+            if len(a.terms) > len(b.terms):
+                a, b = b, a
+            terms = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(map(int.__add__, e1, e2))
+                    s = terms.get(e, 0) + c1 * c2
+                    if s:
+                        terms[e] = s
+                    else:
+                        terms.pop(e, None)
+            return terms
+
+        rng = random.Random(8080)
+        for _ in range(300):
+            a = random_poly(rng, R, max_terms=7, max_deg=2)
+            b = random_poly(rng, R, max_terms=7, max_deg=2)
+            if rng.random() < 0.3:  # (a + b) * (a - b): cross terms cancel
+                a, b = a + b, a - b
+            got = a * b
+            assert list(got.terms.items()) == \
+                list(fraction_product(a, b).items()), (a, b)
+            assert all(type(c) is Fraction for c in got.terms.values())
+        with pytest.raises(ValueError, match="ring mismatch"):
+            x * PolyRing(("x", "z")).var("x")
+        assert (x * 0).is_zero() and x * Fraction(1, 2) == x / 2
 
 
 class TestParser:
@@ -325,3 +358,126 @@ class TestSpecialize:
         # x and y survive only in terms that cancel, so the target may
         # lack them
         assert p.specialize({"s": 1, "t": 1}, PolyRing(("u",))).is_zero()
+
+
+def fraction_specialize(p, point, ring):
+    """``Poly.specialize`` as it was written on ``Fraction`` coefficients,
+    one product per substituted variable of each term: the oracle of the
+    integer-row ``Specialization``."""
+    values, moves = [], []  # moves: (index in p, index in ring or -1)
+    for i, v in enumerate(p.ring.variables):
+        if v in point:
+            values.append((i, Fraction(point[v])))
+        else:
+            moves.append((i, ring._index.get(v, -1)))
+    terms, stray = {}, {}
+    for e, c in p.terms.items():
+        for i, v in values:
+            c *= v ** e[i]
+        if not c:
+            continue
+        new = [0] * ring.nvars
+        for i, j in moves:
+            k = e[i]
+            if k:
+                if j < 0:
+                    rest = tuple(e[m] for m, _ in moves)
+                    stray[rest] = stray.get(rest, 0) + c
+                    break
+                new[j] = k
+        else:
+            new = tuple(new)
+            terms[new] = terms.get(new, 0) + c
+    for rest, c in stray.items():
+        if c:
+            name = next(p.ring.variables[i]
+                        for (i, j), k in zip(moves, rest) if k and j < 0)
+            raise UnknownVariable(f"variable {name!r} not in {ring!r}")
+    return Poly(ring, {e: c for e, c in terms.items() if c})
+
+
+class TestSpecializationOracle:
+    """The integer-row ``Specialization`` (and ``Poly.specialize`` on it)
+    against ``fraction_specialize``, coefficient for coefficient and in the
+    same dict order, on seeded polynomials built so that terms collide and
+    cancel after the substitution, stray ones included."""
+
+    R5 = PolyRing(("x", "y", "s", "t", "u"))
+
+    def case(self, rng):
+        ring = self.R5
+        names = rng.sample(ring.variables + ("w",), rng.randint(1, 4))
+        point = {n: rng.choice((0, Fraction(rng.randint(-4, 4),
+                                            rng.randint(1, 3))))
+                 for n in names}
+        left = [v for v in ring.variables if v not in point]
+        target = PolyRing(rng.sample(left, rng.randint(0, len(left))))
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            e = tuple(rng.randint(0, 2) for _ in ring.variables)
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(-5, 5),
+                                                  rng.randint(1, 4))
+        # a partner for some terms, moved in one substituted variable and
+        # weighted so that the two cancel at the point
+        subst = [ring.index(n) for n in names
+                 if n in ring.variables and point[n]]
+        for e, c in list(terms.items()):
+            if subst and c and rng.random() < 0.5:
+                i = rng.choice(subst)
+                k = e[i] + 1 if e[i] == 0 or rng.random() < 0.5 else e[i] - 1
+                partner = e[:i] + (k,) + e[i + 1:]
+                v = Fraction(point[ring.variables[i]])
+                terms[partner] = terms.get(partner, 0) - c * v ** (e[i] - k)
+        p = Poly(ring, {e: c for e, c in terms.items() if c})
+        return p, point, target
+
+    def test_matches_fraction_specialize(self):
+        rng = random.Random(1811)
+        seen = {"raised": 0, "cancelled": 0, "stray_cancelled": 0,
+                "zero": 0, "negative": 0, "ignored": 0}
+        for _ in range(600):
+            p, point, target = self.case(rng)
+            seen["zero"] += 0 in point.values()
+            seen["negative"] += any(v < 0 for v in point.values())
+            seen["ignored"] += "w" in point
+            plan = Specialization(p, point, target)
+            try:
+                want = fraction_specialize(p, point, target)
+            except UnknownVariable as err:
+                seen["raised"] += 1
+                for run in (lambda: p.specialize(point, target),
+                            lambda: plan(point)):
+                    with pytest.raises(UnknownVariable) as got:
+                        run()
+                    assert str(got.value) == str(err)
+                continue
+            got = p.specialize(point, target)
+            assert got.ring == target
+            assert list(got.terms.items()) == list(want.terms.items()), \
+                (p, point, target)
+            row, n, d = plan(point)
+            assert list(from_row(target, row, n, d).terms.items()) \
+                == list(want.terms.items())
+            assert d > 0 and all(row.values())
+            assert not row or math.gcd(*row.values()) == 1
+            kept = [e for e in p.terms
+                    if all(e[i] == 0 for i, v in enumerate(p.ring.variables)
+                           if v in point and point[v] == 0)]
+            seen["cancelled"] += len(want.terms) < len({
+                tuple(e[p.ring.index(v)] for v in target.variables)
+                for e in kept
+                if all(not e[i] for i, v in enumerate(p.ring.variables)
+                       if v not in point and v not in target.variables)})
+            seen["stray_cancelled"] += any(
+                any(e[i] for i, v in enumerate(p.ring.variables)
+                    if v not in point and v not in target.variables)
+                for e in kept)
+        assert all(count >= 30 for count in seen.values()), seen
+
+    def test_stray_terms_that_cancel_raise_nothing(self):
+        # u*s - 2*u*t vanishes at s = 2, t = 1, so u may be missing
+        p = self.R5.parse("x + u*s - 2*u*t")
+        target = PolyRing(("x",))
+        assert p.specialize({"s": 2, "t": 1}, target) == target.var("x")
+        with pytest.raises(UnknownVariable, match="'u'"):
+            p.specialize({"s": 2, "t": 2}, target)
