@@ -20,6 +20,12 @@ results or into the integer rows (``Row``) of a caller that never leaves
 them (``_buchberger``, ``_Reducer.reduces_to_zero``); exponent tuples stay
 the interface of the rest of the package (``Poly.terms``,
 ``leading_monomials()``, the pair criteria).
+
+Most bases are tiny (membership sampling builds thousands in two or three
+variables), so the kernel keeps per-call work low: the divisor lookup is
+inlined in the division loop, and ``_buchberger`` reduces the tails of its
+basis in place, in the kernel that computed it, which is then the one it
+returns.
 """
 
 from __future__ import annotations
@@ -144,15 +150,16 @@ class _Reducer:
     ``encode`` or ``reduce``.
 
     Each monomial seen is cached with its first divisor among the leads, so
-    repeated divisions do not rescan the leads; rows are only ever appended,
-    which keeps a cached divisor valid.
+    repeated divisions do not rescan the leads; a row is only ever appended,
+    or replaced by one with the same lead, which keeps a cached divisor
+    valid (``_buchberger``'s final pass, which drops rows, clears the cache).
     """
 
     __slots__ = ("code", "exps", "leads", "rows", "_divs", "_seen")
 
     def __init__(self, order: TermOrder, ring: PolyRing,
-                 rows: Sequence[Row] = (), code: Optional[_Encoding] = None):
-        self.code = code or _Encoding(
+                 rows: Sequence[Row] = ()):
+        self.code = _Encoding(
             order, ring, max(_START_BITS // max(ring.nvars, 1) - 1, 1))
         self.exps: List[Exponents] = []  # the leads as exponent tuples
         self.leads: List[int] = []
@@ -198,23 +205,6 @@ class _Reducer:
         self._seen.clear()
         return new.repack(row, old)
 
-    def _lookup(self, m: int) -> list:
-        """[index of the first lead dividing m or -1, leads tried,
-        exponent_fields(m)]."""
-        entry, guard = self._seen.get(m), self.code.guard
-        if entry is None:
-            if m & guard:
-                raise _Overflow
-            entry = self._seen[m] = [-1, 0, self.code.exponent_fields(m)]
-        if entry[0] < 0:
-            d, divs = entry[2], self._divs
-            for k in range(entry[1], len(divs)):
-                if not (d - divs[k]) & guard:
-                    entry[0] = k
-                    break
-            entry[1] = len(divs)
-        return entry
-
     def s_polynomial(self, i: int, j: int, lcm: Exponents) -> Packed:
         """(c_j/g) x^(lcm/lead_i) row_i - (c_i/g) x^(lcm/lead_j) row_j with
         c the lead coefficients and g = gcd(c_i, c_j).
@@ -249,7 +239,8 @@ class _Reducer:
                 row = self._widen(row)
 
     def _divide(self, row: Packed) -> Tuple[Packed, int]:
-        lookup, leads, rows = self._lookup, self.leads, self.rows
+        leads, rows, divs, seen = self.leads, self.rows, self._divs, self._seen
+        guard, fields, n = self.code.guard, self.code.exponent_fields, len(divs)
         remaining = dict(row)
         out: Dict[int, Tuple[int, int]] = {}
         mult = 1
@@ -261,7 +252,21 @@ class _Reducer:
             c = remaining.pop(m, 0)
             if not c:
                 continue
-            i = lookup(m)[0]
+            # seen[m]: [index of the first lead dividing m or -1, leads
+            # tried, exponent_fields(m)]
+            entry = seen.get(m)
+            if entry is None:
+                if m & guard:
+                    raise _Overflow
+                entry = seen[m] = [-1, 0, fields(m)]
+            i = entry[0]
+            if i < 0:
+                d = entry[2]
+                for k in range(entry[1], n):
+                    if not (d - divs[k]) & guard:
+                        entry[0] = i = k
+                        break
+                entry[1] = n
             if i < 0:
                 out[m] = (c, mult)  # rescaled by the later scalings at the end
                 continue
@@ -392,8 +397,10 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     ``stop_at_unit`` the computation returns the basis {1} as soon as a
     constant enters the basis.
 
-    The reduced rows are appended, already packed, to a second ``_Reducer``
-    that starts from the encoding of the first.
+    The final pass reduces the tail of each minimal-lead row in place, in
+    increasing lead order, then keeps only those rows: the kernel that ran
+    the algorithm is the one returned, so a widening during the pass
+    re-packs the rows already reduced along with all the others.
     """
     order = order.for_ring(ring)
     basis = _Reducer(order, ring)
@@ -456,19 +463,19 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     if unit_found and stop_at_unit:
         return _Reducer(order, ring, [{(0,) * ring.nvars: 1}])
 
-    # the active leads are minimal; reduce the tails for the reduced basis
-    # (no lead divides a monomial below it, so a row never reduces its tail)
-    final = _Reducer(order, ring, code=basis.code)
-    for g in sorted(active, key=basis.leads.__getitem__):
+    # the active leads are minimal (no lead divides a monomial below it, so
+    # a row never reduces its own tail)
+    keep = sorted(active, key=basis.leads.__getitem__)
+    for g in keep:
         tail = dict(basis.rows[g])
         lc = tail.pop(basis.leads[g])
         row, mult = basis.reduce(tail)
-        # the reduce may widen the encoding: re-pack the rows handed over
-        while final.code.width < basis.code.width:
-            final._widen({})
         row[basis.leads[g]] = lc * mult  # read after reduce: it may re-encode
-        final.append(_primitive_row(row, basis.leads[g]))
-    return final
+        basis.rows[g] = _primitive_row(row, basis.leads[g])
+    for seq in (basis.rows, basis.leads, basis.exps, basis._divs):
+        seq[:] = [seq[g] for g in keep]
+    basis._seen.clear()
+    return basis
 
 
 def ideal_membership(p: Poly, gens: Sequence[Poly], order: TermOrder) -> bool:

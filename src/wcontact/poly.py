@@ -609,7 +609,7 @@ def mono_div(b: Exponents, a: Exponents) -> Exponents:
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -506,7 +506,7 @@ class TestOneLexBasis:
         curve_bases = []
 
         def counting(rows, order, ring, stop_at_unit=False):
-            if order.kind == "degrevlex" and not stop_at_unit:
+            if "z" not in ring.variables and not stop_at_unit:
                 curve_bases.append(rows)
             return real(rows, order, ring, stop_at_unit=stop_at_unit)
 
@@ -548,7 +548,7 @@ class TestOneLexBasis:
 
         def tampered(rows, order, ring, **kw):
             G = real(rows, order, ring, **kw)
-            if order.kind != "lex":
+            if "z" not in ring.variables:
                 return G
             zi = ring.index("z")
             basis = [G.decode(r) for r in G.rows]
@@ -562,6 +562,174 @@ class TestOneLexBasis:
             SAMPLED_FAMILIES[family], SAMPLED_IDEALS[0], samples=4, seed=5)
         assert not any(s.elimination_ok for s in report.samples)
         assert not report.ok
+
+
+# g = 1 + x + t is not constant, so each sample asks whether it is a unit
+NON_CONSTANT_G = ContactFamily.contact(
+    RST.parse("y*(y + s*x + t) + x^3*(1 + x + t)"), ("s", "t"))
+
+
+def _report_rows(report):
+    return [(s.point, s.curve_membership, s.surface_membership,
+             s.equivalent, s.elimination_ok) for s in report.samples]
+
+
+def _random_ideal(rng):
+    """One to three generators of low degree in x and y, with coefficients
+    that may involve s and t."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 1),
+                 rng.randint(0, 1))
+            terms[e] = terms.get(e, 0) + Fraction(rng.randint(1, 3))
+        gens.append(Poly(RST, terms))
+    return gens
+
+
+def _curve_kernels_miss_their_last_row(monkeypatch, drop=False):
+    """Every curve basis loses its last row: dropped, or replaced by x times
+    itself, which keeps the row count and shrinks the ideal."""
+    real = charts._buchberger
+
+    def tampered(rows, order, ring, stop_at_unit=False):
+        G = real(rows, order, ring, stop_at_unit=stop_at_unit)
+        if "z" in ring.variables or stop_at_unit:
+            return G
+        basis = [G.decode(r) for r in G.rows]
+        last = basis.pop()
+        if not drop:
+            basis.append({(e[0] + 1, e[1]): c for e, c in last.items()})
+        return _Reducer(order, ring, basis)
+
+    monkeypatch.setattr(charts, "_buchberger", tampered)
+
+
+class TestEqualReducedBases:
+    """``elimination_ok`` is the equality of the z-free part of the lift's
+    reduced basis with the curve's, both under lex y>x."""
+
+    @pytest.mark.parametrize("drop", [True, False],
+                             ids=["dropped", "replaced"])
+    @pytest.mark.parametrize("family", [0, 3], ids=["contact", "interior"])
+    def test_curve_kernel_missing_a_row_is_caught(self, monkeypatch, drop,
+                                                  family):
+        # negative control on the curve side: the lift's z-free part no
+        # longer matches a curve kernel missing one row
+        _curve_kernels_miss_their_last_row(monkeypatch, drop)
+        report = verify_membership_equivalence(
+            SAMPLED_FAMILIES[family], SAMPLED_IDEALS[0], samples=4, seed=5)
+        assert len(report.samples) == 4
+        assert not any(s.elimination_ok for s in report.samples)
+        assert not report.ok
+
+    @pytest.mark.parametrize("stair", [("y", "x^3"), ("y^2", "x*y", "x^2")],
+                             ids=["y,x^3", "y^2,xy,x^2"])
+    def test_chart_ideals_match_four_basis_oracle(self, monkeypatch, stair):
+        gens = GroebnerStratumChart([GEO.parse(m) for m in stair],
+                                    LEX_YX).generic_generators
+        real = charts._buchberger
+        curve_leads = []
+
+        def recording(rows, order, ring, stop_at_unit=False):
+            G = real(rows, order, ring, stop_at_unit=stop_at_unit)
+            if "z" not in ring.variables and not stop_at_unit:
+                curve_leads.append(list(G.exps))
+            return G
+
+        monkeypatch.setattr(charts, "_buchberger", recording)
+        for fi, F in enumerate(SAMPLED_FAMILIES + [NON_CONSTANT_G]):
+            seed = 100 + fi
+            report = verify_membership_equivalence(F, gens, samples=3,
+                                                   seed=seed)
+            want, rejected = four_basis_oracle(F, gens, 3, seed)
+            assert _report_rows(report) == want, F.E
+            assert report.rejected == rejected
+        # the chart ideal at a random point: three points in the plane, or,
+        # off the stratum of [y^2, x*y, x^2], the unit ideal
+        unit = [leads == [(0, 0)] for leads in curve_leads]
+        assert len(unit) == 3 * (len(SAMPLED_FAMILIES) + 1)
+        assert all(unit) if len(stair) == 3 else not any(unit)
+        # the same ideals against a curve kernel missing a row, [x] for the
+        # unit ideal's [1]: every sample must fail the elimination check
+        _curve_kernels_miss_their_last_row(monkeypatch)
+        for fi, F in enumerate(SAMPLED_FAMILIES + [NON_CONSTANT_G]):
+            report = verify_membership_equivalence(F, gens, samples=3,
+                                                   seed=100 + fi)
+            assert not any(s.elimination_ok for s in report.samples)
+
+    def test_non_constant_g_matches_four_basis_oracle(self, monkeypatch):
+        F = NON_CONSTANT_G
+        assert not F.g.is_constant()
+        ideals = SAMPLED_IDEALS + [[GEO.parse("y"), GEO.parse("x^2 + x")]]
+        rejections = []
+        for ii, gens in enumerate(ideals):
+            report = verify_membership_equivalence(F, gens, samples=5,
+                                                   seed=ii)
+            want, rejected = four_basis_oracle(F, gens, 5, ii)
+            assert _report_rows(report) == want, gens
+            assert report.rejected == rejected
+            assert report.ok
+            rejections.append(rejected)
+        # at x = -1, g = t: a point with t = 0 is rejected
+        assert sum(rejections) > 0
+        _curve_kernels_miss_their_last_row(monkeypatch)
+        for ii, gens in enumerate(ideals):
+            report = verify_membership_equivalence(F, gens, samples=5,
+                                                   seed=ii)
+            assert report.rejected == rejections[ii]
+            assert not any(s.elimination_ok for s in report.samples)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_elimination_ok_is_equal_z_free_rows(self, monkeypatch, seed):
+        # property: on seeded random ideals and families, elimination_ok is
+        # exactly "the z-free rows of the lift kernel, with z dropped, equal
+        # the curve kernel's rows"; the equality holds on honest kernels,
+        # and a curve kernel with one row replaced by x times itself (same
+        # row count, smaller ideal) must break it
+        rng = random.Random(seed)
+        real = charts._buchberger
+        events = []
+
+        def spying(rows, order, ring, stop_at_unit=False):
+            G = real(rows, order, ring, stop_at_unit=stop_at_unit)
+            if stop_at_unit:
+                return G
+            if "z" in ring.variables:
+                events.append(("lift", G))
+                return G
+            if rng.random() < 0.3:
+                basis = [G.decode(r) for r in G.rows]
+                basis[-1] = {(e[0] + 1, e[1]): c
+                             for e, c in basis[-1].items()}
+                events.append(("tampered", _Reducer(order, ring, basis)))
+            else:
+                events.append(("curve", G))
+            return events[-1][1]
+
+        monkeypatch.setattr(charts, "_buchberger", spying)
+        seen = set()
+        for _ in range(4):
+            gens = _random_ideal(rng)
+            F = rng.choice(SAMPLED_FAMILIES)
+            events.clear()
+            report = verify_membership_equivalence(
+                F, gens, samples=3, seed=rng.randrange(10 ** 6))
+            samples = iter(report.samples)
+            for kind, G in events:
+                if kind != "lift":
+                    curve, honest = G, kind == "curve"
+                    continue
+                z_free = [{e[:2]: c for e, c in row.items()}
+                          for row in map(G.decode, G.rows)
+                          if not any(e[2] for e in row)]
+                equal = z_free == [curve.decode(r) for r in curve.rows]
+                assert equal == honest
+                assert next(samples).elimination_ok == equal
+                seen.add(honest)
+            assert next(samples, None) is None
+        assert seen == {True, False}
 
 
 class TestLocalizedEquality:
