@@ -109,7 +109,9 @@ def _flags(op: Op):
                 else str}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one
+    alone, whose help and usage texts are the same."""
     parser = argparse.ArgumentParser(
         prog="wcontact",
         description="Exact computations for families of w-contact curve "
@@ -126,13 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, op in OPS.items():
-        p = add(name, op.help)
-        for flag, kwargs in _flags(op):
-            p.add_argument(flag, **kwargs)
-    run = add("run", "execute a job file")
-    run.add_argument("jobfile")
-    run.add_argument("--seed", type=int, default=0,
-                     help="replace the job's seed line")
+        if command in (None, name):
+            p = add(name, op.help)
+            for flag, kwargs in _flags(op):
+                p.add_argument(flag, **kwargs)
+    if command in (None, "run"):
+        run = add("run", "execute a job file")
+        run.add_argument("jobfile")
+        run.add_argument("--seed", type=int, default=0,
+                         help="replace the job's seed line")
     return parser
 
 
@@ -205,7 +209,12 @@ def _refuse(args, message: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command first needs only its own subparser; anything else
+    # (no command, -h, an unknown command) gets the listing of them all
+    command = argv[0] if argv and (argv[0] in OPS or argv[0] == "run") \
+        else None
+    args, extra = build_parser(command).parse_known_args(argv)
     if extra:  # e.g. --trunc on a subcommand that derives its orders
         return _refuse(args, f"{extra[0]}: not an argument of {args.command}")
     try:

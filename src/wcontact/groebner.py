@@ -19,7 +19,13 @@ encoded once, when they enter a basis, and decoded once, into ``Poly``
 results or into the integer rows (``Row``) of a caller that never leaves
 them (``_buchberger``, ``_Reducer.reduces_to_zero``); exponent tuples stay
 the interface of the rest of the package (``Poly.terms``,
-``leading_monomials()``, the pair criteria).
+``leading_monomials()``).
+
+Buchberger's pair criteria run on the same ints in a second form,
+``exponent_fields``, whose fields are the exponents themselves: for two
+such ints l and m, l divides m iff m - l sets no guard bit, lcm(l, m) takes
+each field from the one whose field the guard bits of (l | guard) - m
+select (``_Encoding.lcm``), and the leads are coprime iff that lcm is l + m.
 
 Most bases are tiny (membership sampling builds thousands in two or three
 variables), so the kernel keeps per-call work low: the divisor lookup is
@@ -126,6 +132,16 @@ class _Encoding:
         set: a field that would go negative borrows from its guard bit."""
         return m - ((m << self.step) & self.diff)
 
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two fitting monomials given by their
+        ``exponent_fields``, in the same form.  A field of (a | guard) - b
+        never borrows from the next one and keeps its guard bit exactly
+        where a's field is at least b's; the other fields are b's, whose
+        guard bits are clear."""
+        k = (((a | self.guard) - b) & self.guard) >> self.width
+        mask = (k << self.width) - k  # the value bits of the fields of a
+        return (a & mask) | (b & ~mask)
+
     def unpack(self, m: int) -> Exponents:
         mask = (1 << self.step) - 1
         return tuple(map(mask.__and__,
@@ -205,14 +221,13 @@ class _Reducer:
         self._seen.clear()
         return new.repack(row, old)
 
-    def s_polynomial(self, i: int, j: int, lcm: Exponents) -> Packed:
+    def s_polynomial(self, i: int, j: int, lcm: int) -> Packed:
         """(c_j/g) x^(lcm/lead_i) row_i - (c_i/g) x^(lcm/lead_j) row_j with
-        c the lead coefficients and g = gcd(c_i, c_j).
+        c the lead coefficients, g = gcd(c_i, c_j) and ``lcm`` packed.
 
         lcm/lead_i divides lead_j, so both shifts fit and every term is the
         sum of two fitting ints, for ``reduce`` to check.
         """
-        lcm = self.code.pack(lcm)
         ri, rj = self.rows[i], self.rows[j]
         ci, cj = ri[self.leads[i]], rj[self.leads[j]]
         d = math.gcd(ci, cj)
@@ -232,6 +247,8 @@ class _Reducer:
         ``r`` is divisible by a lead; ``r / m`` is the exact remainder over Q.
         ``r`` is in the encoding current at return.
         """
+        if not self.rows:
+            return row, 1
         while True:
             try:
                 return self._divide(row)
@@ -390,12 +407,17 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     input enters first, in increasing lead order (Giovini et al., "One sugar
     cube, please", ISSAC 1991): each generator is reduced by the smaller
     leads before it divides others, so no large unreduced input scales
-    every later division.  Pairs are then selected by the sugar strategy and
-    pruned by the Gebauer-Moeller update (criteria M, F and B and the
-    coprime-lead criterion), run once for each new basis element; an
-    element whose lead a newer lead divides gets no new pairs.  With
-    ``stop_at_unit`` the computation returns the basis {1} as soon as a
-    constant enters the basis.
+    every later division.  Pairs are then selected by the sugar strategy,
+    ties going to the smaller lcm in the basis's order, and pruned by the
+    Gebauer-Moeller update (criteria M, F and B and the coprime-lead
+    criterion) on the kernel's ``exponent_fields`` of the leads, run once
+    for each new basis element; an element whose lead a newer lead divides
+    gets no new pairs.  A pending pair holds its lcm packed, as its key and
+    for ``s_polynomial``, and as exponent fields, for criterion B; a
+    reduction that widens the encoding recomputes both from the pair's
+    leads, which keeps the heap a heap, since packed ints compare by the
+    term order in every encoding.  With ``stop_at_unit`` the computation
+    returns the basis {1} as soon as a constant enters the basis.
 
     The final pass reduces the tail of each minimal-lead row in place, in
     increasing lead order, then keeps only those rows: the kernel that ran
@@ -404,38 +426,58 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     """
     order = order.for_ring(ring)
     basis = _Reducer(order, ring)
-    leads = basis.exps
+    exps, divs = basis.exps, basis._divs
     sugars: List[int] = []
     active: List[int] = []  # the basis elements no newer lead divides
-    pairs: List[Tuple[Tuple, int, int]] = []  # heap of ((sugar, deg, lcm), i, j)
+    # a heap of (sugar, packed lcm, i, j, lcm as exponent fields)
+    pairs: List[Tuple[int, int, int, int, int]] = []
 
     def add_row(row: Packed, sugar: int) -> bool:
         """Enter a reduced row and update the pairs; True if it is constant."""
         h = basis.append(_primitive_row(row, max(row)))
-        lh = leads[h]
+        dh, code = divs[h], basis.code
+        guard, lcm = code.guard, code.lcm
         sugars.append(sugar)
-        # criteria M and F, then the coprime-lead criterion, on new pairs
-        cands = [(mono_lcm(leads[g], lh), g, not any(map(min, leads[g], lh)))
-                 for g in active]
-        kept: List[Tuple[Exponents, int, bool]] = []
-        for k, (lcm, g, coprime) in enumerate(cands):
-            if coprime or not any(mono_divides(m, lcm)
-                                  for m, _, _ in cands[k + 1:] + kept):
-                kept.append((lcm, g, coprime))
+        # criteria M and F, then the coprime-lead criterion, on new pairs;
+        # l divides m iff m - l sets no guard bit
+        cands = []
+        for g in active:
+            m = lcm(divs[g], dh)
+            cands.append((m, g, m == divs[g] + dh))
+        kept = []
+        for k, (m, g, coprime) in enumerate(cands):
+            if coprime or all((m - l) & guard
+                              for l, _, _ in cands[k + 1:] + kept):
+                kept.append((m, g, coprime))
         # criterion B on the pending pairs
-        pairs[:] = [p for p in pairs
-                    if not mono_divides(lh, p[0][2])
-                    or mono_lcm(leads[p[1]], lh) == p[0][2]
-                    or mono_lcm(leads[p[2]], lh) == p[0][2]]
-        for lcm, g, coprime in kept:
+        if pairs:
+            pairs[:] = [p for p in pairs if (p[4] - dh) & guard
+                        or lcm(divs[p[2]], dh) == p[4]
+                        or lcm(divs[p[3]], dh) == p[4]]
+            heapq.heapify(pairs)
+        eh = exps[h]
+        for m, g, coprime in kept:
             if not coprime:
-                pair_sugar = max(sugars[g] + sum(lcm) - sum(leads[g]),
-                                 sugar + sum(lcm) - sum(lh))
-                pairs.append(((pair_sugar, sum(lcm), lcm), g, h))
-        heapq.heapify(pairs)
-        active[:] = [g for g in active if not mono_divides(lh, leads[g])]
+                e = mono_lcm(exps[g], eh)
+                deg = sum(e)
+                pair_sugar = max(sugars[g] + deg - sum(exps[g]),
+                                 sugar + deg - sum(eh))
+                heapq.heappush(pairs, (pair_sugar, code.pack(e), g, h, m))
+        active[:] = [g for g in active if (divs[g] - dh) & guard]
         active.append(h)
-        return not any(lh)
+        return not dh
+
+    def reduce(row: Packed) -> Packed:
+        """The remainder of ``row``; a widening re-packs what is pending."""
+        old = basis.code
+        row = basis.reduce(row)[0]
+        code = basis.code
+        if code is not old:
+            pending[:] = [(code.repack(r, old), s) for r, s in pending]
+            pairs[:] = [(s, code.pack(mono_lcm(exps[i], exps[j])), i, j,
+                         code.lcm(divs[i], divs[j]))
+                        for s, _, i, j, _ in pairs]
+        return row
 
     code = basis.code
     packed = [basis.encode(row) for row in rows]
@@ -445,19 +487,15 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
                      key=lambda p: max(p[0]))
     unit_found = False
     while pending and not unit_found:
-        code = basis.code
         row, sugar = pending.pop(0)
-        row = basis.reduce(row)[0]
-        if basis.code is not code:  # the reduce widened: re-pack the rest
-            pending = [(basis.code.repack(r, code), s) for r, s in pending]
+        row = reduce(row)
         unit_found = bool(row) and add_row(row, sugar)
 
+    # a pair's sugar is that of its S-polynomial's remainder
     while pairs and not unit_found:
-        (_, _, lcm), i, j = heapq.heappop(pairs)
-        rem = basis.reduce(basis.s_polynomial(i, j, lcm))[0]
+        sugar, lcm, i, j, _ = heapq.heappop(pairs)
+        rem = reduce(basis.s_polynomial(i, j, lcm))
         if rem:
-            sugar = max(sugars[i] + sum(lcm) - sum(leads[i]),
-                        sugars[j] + sum(lcm) - sum(leads[j]))
             unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:

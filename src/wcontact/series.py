@@ -116,9 +116,6 @@ class TruncatedSeries:
     def __repr__(self):
         return f"({self.body}) + O(m^{self.order + 1})"
 
-    def invert(self) -> "TruncatedSeries":
-        return series_invert(self)
-
 
 def series_invert(u: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse modulo m^(N+1); NotAUnit if the constant part

@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import wcontact
+from wcontact import cli
 from wcontact.charts import GroebnerStratumChart
 from wcontact.cli import build_parser, load_family, main
 from wcontact.errors import JobError, ParseError
@@ -605,6 +606,40 @@ def test_chart_order_outside_the_geometric_ring_is_an_order_error(capsys):
     assert main(["chart", "--chart", "y, x^2", "--order", "lex y>s"]) == 2
     assert "error: --order: 's' is not a variable of PolyRing(x, y)" in \
         capsys.readouterr().err
+
+
+HELP_AND_USAGE = [[], ["-h"], ["--help"], ["bogus"]] + [
+    argv for command in [*OPS, "run"]
+    for argv in ([command, "--help"], [command, "--format", "xml"])]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_match_the_parser_of_every_subcommand(
+        argv, capsys, monkeypatch):
+    """main builds only the subparser of a command it is given first; its
+    help and usage texts (the top level's, each subcommand's --help, a usage
+    error of each subcommand) are byte for byte those of the parser of
+    every subcommand."""
+    built = []
+    full = cli.build_parser
+
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or full(command))
+    single = run()
+    commands = {*OPS, "run"}
+    assert built == [argv[0] if argv and argv[0] in commands else None]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run() == single
+    assert single[0] in (0, 2) and single[1] + single[2]
 
 
 @pytest.mark.parametrize("argv,code", [

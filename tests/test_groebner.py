@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -570,3 +571,98 @@ class TestInputOrder:
         assert len(G) == 32
         # with the input in caller order the largest was 5,700 bits
         assert max(bits) <= 256
+
+
+def _fields(code, e):
+    """The ``exponent_fields`` form of the exponents e, from their tuple."""
+    return sum(x << s for x, s in zip(e, code.shifts))
+
+
+class TestPackedPairCriteria:
+    """Buchberger's pair criteria on ``exponent_fields`` ints: divisibility,
+    lcm and coprime leads agree with the exponent tuples, and a widening
+    re-packs the pending pairs."""
+
+    @staticmethod
+    def _order(rng, names):
+        """lex, degrevlex or a block order of two or three blocks."""
+        names = rng.sample(names, len(names))
+        cuts = sorted(rng.sample(range(1, len(names)), min(
+            rng.randint(0, 2), len(names) - 1)))
+        blocks = [names[i:j] for i, j in zip([0] + cuts, cuts + [None])]
+        order = None
+        for block in blocks:
+            part = TermOrder(rng.choice(("lex", "degrevlex")), block)
+            order = part if order is None else order.then(part)
+        return order
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_fields_match_the_exponent_tuples(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 10)
+        ring = PolyRing(TestPackedMonomials.TEN[:nvars])
+        order = self._order(rng, list(ring.variables))
+        code = _Encoding(order, ring, rng.randint(1, 10))
+
+        def draw():
+            # fields at 0 and at limit, then zeros until the monomial fits
+            e = [rng.choice((0, 0, 1, code.limit, rng.randint(0, code.limit)))
+                 for _ in range(nvars)]
+            while code.top(e) > code.limit:
+                e[rng.choice([i for i, x in enumerate(e) if x])] = 0
+            return tuple(e)
+
+        exps = [draw() for _ in range(40)] + [(0,) * nvars]
+        for a in exps:
+            assert _fields(code, a) == code.exponent_fields(code.pack(a))
+        for a, b in itertools.product(exps, repeat=2):
+            fa, fb = _fields(code, a), _fields(code, b)
+            lcm = code.lcm(fa, fb)
+            assert lcm == _fields(code, mono_lcm(a, b))
+            assert (not (fb - fa) & code.guard) == mono_divides(a, b)
+            assert (lcm == fa + fb) == (not any(map(min, a, b)))
+
+    # x^20*y and x*y^20 have an lcm of degree 40, past the 31 of a field in
+    # ten variables: its S-polynomial widens while other pairs are pending
+    PENDING_WIDENING = (TestPackedMonomials.TEN, "degrevlex",
+                        TestPackedMonomials.TEN,
+                        ["x^20*y - 1", "x*y^20 - 1", "z^2 - x*z", "a*b - z"],
+                        ["x^41*y", "z^3*a*b", "x*y^30 - z"])
+
+    def test_a_widening_re_packs_the_pending_pairs(self, monkeypatch):
+        names, kind, priority, gens, probes = self.PENDING_WIDENING
+        ring = PolyRing(names)
+        gens = [ring.parse(g) for g in gens]
+        order = TermOrder(kind, priority)
+        seen = {"kernel": None, "code": None, "widened_with_pending": 0}
+        reduce, heapq = groebner._Reducer.reduce, groebner.heapq
+
+        def recording(self, row):
+            seen["kernel"] = self
+            return reduce(self, row)
+
+        def heappop(heap):
+            if isinstance(heap[0], tuple):  # the pairs, not a division heap
+                kernel = seen["kernel"]
+                code = kernel.code
+                if seen["code"] not in (None, code) and len(heap) > 1:
+                    seen["widened_with_pending"] += 1
+                seen["code"] = code
+                # every pending pair is packed by the current encoding, and
+                # the pairs are still a heap
+                for sugar, packed, i, j, fields in heap:
+                    lcm = mono_lcm(kernel.exps[i], kernel.exps[j])
+                    assert packed == code.pack(lcm)
+                    assert fields == _fields(code, lcm)
+                assert all(heap[(k - 1) // 2] <= heap[k]
+                           for k in range(1, len(heap)))
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(groebner._Reducer, "reduce", recording)
+        monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(
+            heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify))
+        gb_buchberger(gens, order)
+        assert seen["widened_with_pending"]
+        monkeypatch.undo()
+        _assert_matches_sympy(gens, order, [ring.parse(p) for p in probes])
+        TestInputOrder._one_basis_for_every_order(gens, order)
