@@ -121,7 +121,7 @@ class GroebnerStratumChart:
         rest = [v for v in p.ring.variables if v not in self.geo_vars]
         order = self._geo_order.then(TermOrder.lex(rest))
         gens = [g.map_to(p.ring) for g in self.generic_generators]
-        return normal_form(p, GroebnerBasis(gens, order, False))
+        return normal_form(p, GroebnerBasis(gens, order))
 
     def _compute_stratum_equations(self) -> List[Poly]:
         eqs: List[Poly] = []
@@ -202,28 +202,26 @@ class LiftedIdeal:
     generators: List[Poly]
     graph_relation: Poly
     kind: str                      # "contact" or "interior"
+    # the lift coordinate: z, with _ appended while that name is a variable
+    # of the ideal's or the family's ring
     z: str
     base_z: Fraction               # z-coordinate of the completion point
 
 
-def lift_contact(F: ContactFamily, ideal_gens: Sequence[Poly],
-                 z: str = "z") -> LiftedIdeal:
+def lift_contact(F: ContactFamily, ideal_gens: Sequence[Poly]) -> LiftedIdeal:
     """Append the graph relation f - z*g; defined for contact families only."""
     F.require_contact()
     ring0 = ideal_gens[0].ring if ideal_gens else F.E.ring
-    ring = ring0.extend(F.E.ring.variables).extend((z,))
-    f = F.f.map_to(ring)
-    g = F.g.map_to(ring)
-    graph = f - ring.var(z) * g
-    zero = {v: 0 for v in F.E.ring.variables if v not in (z,)}
+    z = ring0.extend(F.E.ring.variables).fresh("z")
+    ring = ring0.extend(F.E.ring.variables + (z,))
+    graph = F.f.map_to(ring) - ring.var(z) * F.g.map_to(ring)
     f00 = F.f0().constant_term()
     g00 = F.g0().constant_term()
     gens = [p.map_to(ring) for p in ideal_gens] + [graph]
     return LiftedIdeal(gens, graph, "contact", z, f00 / g00)
 
 
-def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly],
-                  z: str = "z") -> LiftedIdeal:
+def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly]) -> LiftedIdeal:
     """Append the graph relation z - E; defined for interior families only."""
     if F.kind != "interior":
         raise WrongKind("interior lift requires an interior-kind family")
@@ -231,19 +229,22 @@ def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly],
     if E0.constant_term() != 0:
         raise WrongKind("central equation does not vanish at the origin")
     ring0 = ideal_gens[0].ring if ideal_gens else F.E.ring
-    ring = ring0.extend(F.E.ring.variables).extend((z,))
+    z = ring0.extend(F.E.ring.variables).fresh("z")
+    ring = ring0.extend(F.E.ring.variables + (z,))
     graph = ring.var(z) - F.E.map_to(ring)
     gens = [p.map_to(ring) for p in ideal_gens] + [graph]
     return LiftedIdeal(gens, graph, "interior", z, Fraction(0))
 
 
 def an_surface(n: int, ring: Optional[PolyRing] = None) -> Poly:
-    """The A_n surface singularity equation y*z + x^(n+1)."""
+    """The A_n surface singularity equation y*z + x^(n+1), with x, y and z
+    the first three variables of ``ring`` (by default the ring in x, y, z)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if ring is None:
         ring = PolyRing(("x", "y", "z"))
-    return ring.var("y") * ring.var("z") + ring.var("x") ** (n + 1)
+    x, y, z = map(ring.var, ring.variables[:3])
+    return y * z + x ** (n + 1)
 
 
 # -- sampling-based verification of the lift correspondence ----------------
@@ -275,10 +276,9 @@ class CorrespondenceReport:
         return not self.counterexamples
 
 
-def _random_rational(rng: random.Random, bound: int = 7) -> Fraction:
-    num = rng.randint(-bound, bound)
-    den = rng.randint(1, bound)
-    return Fraction(num, den)
+def _random_rational(rng: random.Random) -> Fraction:
+    """A rational of numerator in [-7, 7] and denominator in [1, 7]."""
+    return Fraction(rng.randint(-7, 7), rng.randint(1, 7))
 
 
 def verify_membership_equivalence(F: ContactFamily,
@@ -319,14 +319,17 @@ def verify_membership_equivalence(F: ContactFamily,
     lead is z-free throughout, so ``low`` is read off the leads, and its
     rows become rows in (x, y) by dropping z.  The lift basis is always
     computed from the lifted generators and the graph relation, never from
-    the curve basis, so the two sides stay independent.
+    the curve basis, so the two sides stay independent.  The lift
+    coordinate z is named as in ``lift_contact``, so every variable of the
+    family and the ideal other than x and y is a parameter.
     """
     rng = random.Random(seed)
     ring_all = F.E.ring
     for p in ideal_gens:
         ring_all = ring_all.extend(p.ring.variables)
+    z_name = ring_all.fresh("z")
     free_params = tuple(v for v in ring_all.variables
-                        if v not in (F.x, F.y, "z"))
+                        if v not in (F.x, F.y))
     for point in extra_points:
         for name in point:
             if name not in free_params:
@@ -334,17 +337,17 @@ def verify_membership_equivalence(F: ContactFamily,
                     f"sample point names {name!r}, which is not a parameter "
                     f"of the family or the ideal")
     geo_ring = PolyRing((F.x, F.y))
-    z_ring = PolyRing((F.x, F.y, "z"))
+    z_ring = PolyRing((F.x, F.y, z_name))
     geo_order = TermOrder.lex((F.y, F.x))
-    elim_order = TermOrder.lex(("z", F.y, F.x))
+    elim_order = TermOrder.lex((z_name, F.y, F.x))
 
-    graph_ring = F.E.ring.extend(("z",))
-    z = graph_ring.var("z")
+    graph_ring = F.E.ring.extend((z_name,))
+    z = graph_ring.var(z_name)
     if F.kind == "contact":
         target = an_surface(F.w - 1, z_ring)
         graph = F.f.map_to(graph_ring) - z * F.g.map_to(graph_ring)
     else:
-        target = z_ring.var("z")
+        target = z_ring.var(z_name)
         graph = z - F.E.map_to(graph_ring)
     target_row = target.primitive_terms()[0]
 
@@ -419,22 +422,23 @@ def verify_membership_equivalence(F: ContactFamily,
 
 def ideal_equal_localized(a_gens: Sequence[Poly], b_gens: Sequence[Poly],
                           unit: Poly) -> bool:
-    """Ideal equality after inverting the unit: mutual membership in the
-    extended ring with the relation T*unit = 1."""
+    """Ideal equality after inverting the unit: in the extended ring with
+    the relation T*unit = 1, the two reduced bases under degrevlex are
+    equal.  Reduced bases under one order are unique, so they are equal
+    exactly when the ideals are."""
     ring = a_gens[0].ring
     if unit.constant_term() == 0:
         raise ValueError("localizing element has zero constant term")
-    tname = "T_loc"
-    while tname in ring.variables:
-        tname += "_"
+    tname = ring.fresh("T_loc")
     ext = ring.extend((tname,))
     rel = ext.var(tname) * unit.map_to(ext) - 1
     order = TermOrder.degrevlex(ext.variables)
-    gb_a = gb_buchberger([g.map_to(ext) for g in a_gens] + [rel], order)
-    if not all(normal_form(g.map_to(ext), gb_a).is_zero() for g in b_gens):
-        return False
-    gb_b = gb_buchberger([g.map_to(ext) for g in b_gens] + [rel], order)
-    return all(normal_form(g.map_to(ext), gb_b).is_zero() for g in a_gens)
+
+    def basis(gens: Sequence[Poly]) -> List[Poly]:
+        return gb_buchberger([g.map_to(ext) for g in gens] + [rel],
+                             order).generators
+
+    return basis(a_gens) == basis(b_gens)
 
 
 @dataclass
@@ -493,10 +497,11 @@ def lift_chart_equivalence(F: ContactFamily,
         raise NotAUnit("reduced boundary factor vanishes at the base point")
 
     # surface-side chart: z = sp*x + tp, same (y, x^2) rows
-    zr = ring.extend(("sp_", "tp_", "z"))
-    surf = an_surface(F.w - 1, PolyRing((F.x, F.y, "z"))).map_to(zr)
+    z = ring.fresh("z")
+    zr = ring.extend(("sp_", "tp_", z))
+    surf = an_surface(F.w - 1, PolyRing((F.x, F.y, z))).map_to(zr)
     z_image = zr.var("sp_") * zr.var(F.x) + zr.var("tp_")
-    surf = surf.subs({"z": z_image})
+    surf = surf.subs({z: z_image})
     surface_eqs = chart._coefficients_on_standard(chart.geo_reduce(surf))
 
     pulled = [substitute_with_denominator(

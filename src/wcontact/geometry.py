@@ -101,17 +101,16 @@ def variety_equal(a_gens: Sequence[Poly], b_gens: Sequence[Poly]) -> bool:
             and _all_in_radical(a_gens, b_in_ring))
 
 
-def _all_in_radical(targets: Sequence[Poly], gens: Sequence[Poly],
-                    power_bound: int = 12) -> bool:
+def _all_in_radical(targets: Sequence[Poly], gens: Sequence[Poly]) -> bool:
     """Each target lies in the radical of the ideal; one shared basis, with a
-    cheap power test before the certified membership check."""
+    cheap test of its first 12 powers before the certified check."""
     ring = gens[0].ring
     order = TermOrder.degrevlex(ring.variables)
     gb = gb_buchberger(list(gens), order)
     basis = list(gb)
     for t in targets:
         p = ring.one()
-        for _ in range(power_bound):
+        for _ in range(12):
             p = p * t
             if normal_form(p, gb).is_zero():
                 break

@@ -53,6 +53,10 @@ Packed = Dict[int, int]
 # stays below 2**61, where CPython hashes an int as itself
 _START_BITS = 60
 
+# the most standard monomials a staircase may have before its count is
+# refused as uncertifiable
+STAIRCASE_LIMIT = 10_000
+
 
 class _Overflow(Exception):
     """A field of a packed monomial carried into its guard bit."""
@@ -320,14 +324,12 @@ class GroebnerBasis:
     is the kernel already holding the generators as rows, in order, which
     ``gb_buchberger`` hands over; without it they are packed afresh."""
 
-    __slots__ = ("generators", "order", "reduced", "_ring", "_key", "_leads",
-                 "_reducer")
+    __slots__ = ("generators", "order", "_ring", "_key", "_leads", "_reducer")
 
-    def __init__(self, generators: List[Poly], order: TermOrder, reduced: bool,
+    def __init__(self, generators: List[Poly], order: TermOrder,
                  _reducer: Optional[_Reducer] = None):
         self.generators = generators
         self.order = order
-        self.reduced = reduced
         self._ring = generators[0].ring if generators else None
         self._key = order.key_function(self._ring) if self._ring else None
         if _reducer is None and generators:
@@ -392,7 +394,7 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     basis = _buchberger([g.primitive_terms()[0] for g in gens], order, ring,
                         stop_at_unit)
     return GroebnerBasis([from_row(ring, basis.decode(r)) for r in basis.rows],
-                         basis.code.order, True, basis)
+                         basis.code.order, basis)
 
 
 def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
@@ -516,19 +518,12 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     return basis
 
 
-def ideal_membership(p: Poly, gens: Sequence[Poly], order: TermOrder) -> bool:
-    G = gb_buchberger(gens, order)
-    return normal_form(p, G).is_zero()
-
-
 def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
     """Rabinowitsch test: p vanishes on V(<gens>) iff 1 in <gens, 1 - T*p>."""
     if p.is_zero():
         return True
     ring = p.ring
-    tname = "T_"
-    while tname in ring.variables:
-        tname += "_"
+    tname = ring.fresh("T_")
     ext = PolyRing((tname,) + ring.variables)
     ext_gens = [g.map_to(ext) for g in gens]
     ext_gens.append(ext.one() - ext.var(tname) * p.map_to(ext))
@@ -537,23 +532,19 @@ def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
     return G.is_unit_ideal()
 
 
-def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
-                         variables: Optional[Sequence[str]] = None,
-                         limit: int = 10_000) -> List[Exponents]:
-    """The monomials in ``variables`` (default: all of the ring's) that no
-    lead divides, unsorted.
+def staircase_complement(leads: Sequence[Exponents],
+                         ring: PolyRing) -> List[Exponents]:
+    """The monomials of the ring that no lead divides, unsorted.
 
     Raises InfiniteColength if some variable has no pure power among the
     leads, which makes them infinitely many, and CertificationFailed if
-    there are finitely many but more than ``limit``.  A constant lead
-    divides every monomial and leaves none.
+    there are finitely many but more than ``STAIRCASE_LIMIT``.  A constant
+    lead divides every monomial and leaves none.
     """
     zero = (0,) * ring.nvars
     if zero in leads:
         return []
-    idx = [ring.index(v) for v in
-           (ring.variables if variables is None else variables)]
-    for i in idx:
+    for i in range(ring.nvars):
         if not any(lm[i] > 0 and sum(lm) == lm[i] for lm in leads):
             raise InfiniteColength(
                 f"no pure power of {ring.variables[i]!r} among leading terms")
@@ -563,9 +554,10 @@ def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
         if any(mono_divides(lm, e) for lm in leads):
             continue
         found.append(e)
-        if len(found) > limit:
-            raise CertificationFailed(f"more than {limit} standard monomials")
-        for i in idx:
+        if len(found) > STAIRCASE_LIMIT:
+            raise CertificationFailed(
+                f"more than {STAIRCASE_LIMIT} standard monomials")
+        for i in range(ring.nvars):
             ne = e[:i] + (e[i] + 1,) + e[i + 1:]
             if ne not in seen:
                 seen.add(ne)
@@ -573,11 +565,9 @@ def staircase_complement(leads: Sequence[Exponents], ring: PolyRing,
     return found
 
 
-def standard_monomials(G: GroebnerBasis, max_check: int = 10_000,
-                       variables: Optional[Sequence[str]] = None) -> QuotientBasis:
-    """All monomials (in the given variables) outside the leading-term ideal,
-    sorted by the basis order; see ``staircase_complement``."""
-    found = staircase_complement(G.leading_monomials(), G.ring, variables,
-                                 max_check)
+def standard_monomials(G: GroebnerBasis) -> QuotientBasis:
+    """All monomials outside the leading-term ideal, sorted by the basis
+    order; see ``staircase_complement``."""
+    found = staircase_complement(G.leading_monomials(), G.ring)
     found.sort(key=G._key)
     return QuotientBasis(G.ring, found)

@@ -73,8 +73,8 @@ def phi_map(F: ContactFamily, I: LocalIdeal) -> PhiReport:
     N = I.min_series_order()
     zero = {p: 0 for p in F.params}
     geo = (F.x, F.y)
-    g0 = F.g.subs(zero)
-    f0 = F.f.subs(zero)
+    g0 = F.g0()
+    f0 = F.f0()
     inv_g0_sq = series_invert(TruncatedSeries(g0 * g0, N, geo))
     columns = []
     for p in F.params:
@@ -101,12 +101,11 @@ def psi_generators(F: ContactFamily, I: LocalIdeal) -> List[Poly]:
     reparametrization ideal, for the normal form of the central equation;
     exact modulo I."""
     F.require_contact()
-    if not F.g0().is_constant() or F.g0().as_constant() != 1:
+    if F.g0() != 1:
         # the truncation error lies in m^N, and N >= w keeps x^w in E
         F = to_normal_form(F, max(I.min_series_order(), F.w))
-    zero = {p: 0 for p in F.params}
-    E0 = F.E.subs(zero)
-    f0 = F.f.subs(zero)
+    E0 = F.at_base_point()
+    f0 = F.f0()
     ring = E0.ring
     g1 = ring.var(F.x) * f0.partial(F.x) - F.w * f0
     g2 = E0.partial(F.x)

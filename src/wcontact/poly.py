@@ -85,6 +85,13 @@ class PolyRing:
         new = [v for v in extra if v not in self._index]
         return PolyRing(self.variables + tuple(new))
 
+    def fresh(self, name: str) -> str:
+        """``name``, with ``_`` appended while it is a variable of this ring:
+        the name of an auxiliary variable that no input variable can be."""
+        while name in self._index:
+            name += "_"
+        return name
+
     def parse(self, text: str) -> "Poly":
         return _parse(text, self)
 
@@ -114,17 +121,11 @@ class Poly:
             raise ValueError(f"not a constant: {self}")
         return self.constant_term()
 
-    def total_degree(self, indices: Optional[Iterable[int]] = None) -> int:
-        """Max total degree; restricted to the given variable indices if any.
-
-        Returns -1 for the zero polynomial.
-        """
+    def total_degree(self) -> int:
+        """Max total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        if indices is None:
-            return max(sum(e) for e in self.terms)
-        idx = tuple(indices)
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:

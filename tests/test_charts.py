@@ -313,6 +313,74 @@ class TestLifts:
             an_surface(-1)
 
 
+class TestVariableNames:
+    """Nothing assumes the names x, y or z: the geometric variables come
+    from the family, and the lift coordinate is z, with _ appended while a
+    variable of the ideal or the family has that name."""
+
+    RZ = PolyRing(("x", "y", "z"))
+
+    def test_contact_lift_past_a_parameter_named_z(self):
+        F = ContactFamily.contact(
+            self.RZ.parse("(y^2+x^4)+z*x*(y+x^3)"), ("z",))
+        L = lift_contact(F, [self.RZ.parse("y"), self.RZ.parse("x^2")])
+        assert L.z == "z_"
+        zr = L.graph_relation.ring
+        assert zr.variables == ("x", "y", "z", "z_")
+        assert L.graph_relation == \
+            F.f.map_to(zr) - zr.var("z_") * F.g.map_to(zr)
+        assert L.base_z == 0
+
+    def test_interior_lift_past_a_parameter_named_z(self):
+        G = ContactFamily.interior(self.RZ.parse("y^2 + x^3 + z*y"), ("z",))
+        L = lift_interior(G, [self.RZ.parse("y"), self.RZ.parse("x^2")])
+        assert L.z == "z_"
+        zr = L.graph_relation.ring
+        assert L.graph_relation == zr.var("z_") - G.E.map_to(zr)
+
+    def test_every_taken_name_is_passed(self):
+        ring = PolyRing(("x", "y", "z", "z_"))
+        F = ContactFamily.contact(ring.parse("y*(1 + z*z_) + x^2"),
+                                  ("z", "z_"))
+        assert lift_contact(F, [ring.parse("y"), ring.parse("x")]).z == \
+            "z__"
+        # a z of the ideal's ring alone is also taken
+        L = lift_contact(fam_st(), [self.RZ.parse("y"),
+                                    self.RZ.parse("x^2")])
+        assert L.z == "z_"
+
+    @pytest.mark.parametrize("kind", ["contact", "interior"])
+    def test_correspondence_samples_a_parameter_named_z(self, kind):
+        E = self.RZ.parse("(y^2+x^4)+z*x*(y+x^3)" if kind == "contact"
+                          else "y^2 + x^3 + z*y")
+        F = ContactFamily(E, ("z",), kind)
+        report = verify_membership_equivalence(
+            F, [self.RZ.parse("y"), self.RZ.parse("x^2")], samples=8,
+            seed=4)
+        assert report.ok
+        assert all(set(s.point) == {"z"} for s in report.samples)
+
+    def test_renamed_geometric_variables(self):
+        uv = PolyRing(("u", "v"))
+        uvst = PolyRing(("u", "v", "s", "t"))
+        F = ContactFamily.contact(
+            uvst.parse("(v^2+u^4)+s*u*(v+u^3)+t*(v+u^4)"), ("s", "t"),
+            x="u", y="v")
+        chart = GroebnerStratumChart([uv.parse("v"), uv.parse("u^2")],
+                                     TermOrder.parse("lex v>u"),
+                                     geo_vars=("u", "v"))
+        assert lift_chart_equivalence(F, chart) == \
+            lift_chart_equivalence(fam_st(), chart_yx2())
+        for seed in (2, 3):
+            assert verify_membership_equivalence(
+                F, chart.generic_generators, samples=6, seed=seed) == \
+                verify_membership_equivalence(
+                    fam_st(), chart_yx2().generic_generators, samples=6,
+                    seed=seed)
+        assert str(an_surface(3, PolyRing(("u", "v", "w")))) == \
+            "u^4 + v*w"
+
+
 class TestMembershipCorrespondence:
     def test_codim4_equivalence(self):
         report = verify_membership_equivalence(

@@ -17,6 +17,7 @@ from wcontact.cli import build_parser, load_family, main
 from wcontact.errors import JobError, ParseError
 from wcontact.jobs import parse_job, run_job
 from wcontact.ops import OPS
+from wcontact.poly import PolyRing
 
 PKG_DIR = pathlib.Path(wcontact.__file__).parent
 FAM = str(PKG_DIR / "data" / "codim4.fam")
@@ -197,6 +198,49 @@ class TestFamilyFiles:
         fam.write_text("# header\nvars x y\nparams\n\ny^2 + x^4  # eq\n")
         F = load_family(str(fam))
         assert F.w == 4 and F.params == ()
+
+
+class TestVariableNames:
+    """The geometric variables are the names of a .fam vars line, and the
+    lift coordinate is z, with _ appended while a variable has that name."""
+
+    def test_renamed_geometric_variables_give_the_same_reports(self,
+                                                               tmp_path):
+        uv = tmp_path / "uv.fam"
+        uv.write_text("vars u v\nparams s t\n"
+                      "(v^2+u^4)+s*u*(v+u^3)+t*(v+u^4)\n")
+        for argv in (["verify-corr", "--seed", "3"], ["lift-equiv"],
+                     ["hilb-eq"]):
+            reports = []
+            for fam, chart in ((FAM, "y, x^2"), (str(uv), "v, u^2")):
+                out = tmp_path / "out.json"
+                code = main(argv + ["--family", fam, "--chart", chart,
+                                    "--out", str(out)])
+                assert code == 0, argv
+                VALIDATOR.validate(json.loads(out.read_text()))
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], argv
+
+    # E = y*f + x^4*g with f = y + z*x and g = 1 + z; the interior lift's
+    # graph relation is z_ - E
+    @pytest.mark.parametrize("command, fam_text, graph", [
+        ("lift", "vars x y\nparams z\n(y^2+x^4)+z*x*(y+x^3)\n",
+         "(y + z*x) - z_*(1 + z)"),
+        ("lift-prime", "vars x y\nparams z\nkind interior\n"
+         "y^2 + x^3 + z*y\n", "z_ - (y^2 + x^3 + z*y)")])
+    def test_a_parameter_named_z_moves_the_lift_coordinate(
+            self, command, fam_text, graph, tmp_path):
+        fam = tmp_path / "pz.fam"
+        fam.write_text(fam_text)
+        code, data = check([command, "--family", str(fam),
+                            "--ideal", "y, x^2"], tmp_path)
+        assert code == 0
+        ring = PolyRing(("x", "y", "z", "z_"))
+        assert ring.parse(data["graph_relation"]) == ring.parse(graph)
+        code, data = check(["verify-corr", "--family", str(fam),
+                            "--ideal", "y, x^2"], tmp_path)
+        assert code == 0
+        assert data["ok"] is True
 
 
 class TestExitCodes:

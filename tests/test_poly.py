@@ -35,6 +35,11 @@ class TestArithmetic:
         assert p.subs({"x": y}) == y**2 + y
         assert p.subs({"x": 2, "y": 3}) == R.const(7)
 
+    def test_fresh_name_avoids_the_ring_variables(self):
+        assert R.fresh("z") == "z"
+        assert PolyRing(("x", "z")).fresh("z") == "z_"
+        assert PolyRing(("z", "z_", "x")).fresh("z") == "z__"
+
     def test_eval(self):
         p = x**2 + 2 * y
         assert p.eval({"x": Fraction(1, 2), "y": 1}) == Fraction(9, 4)
