@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (InconsistentResult, NotAUnit, SamplingFailed,
-                     UnknownVariable, WrongKind)
+                     UnknownVariable, Unsupported, UsageError, WrongKind)
 from .families import ContactFamily
 from .groebner import (GroebnerBasis, _buchberger, gb_buchberger, normal_form,
                        staircase_complement)
@@ -48,10 +48,10 @@ class GroebnerStratumChart:
         monos = []
         for g in staircase_gens:
             if len(g.terms) != 1:
-                raise ValueError(f"staircase generator {g} is not a monomial")
+                raise UsageError(f"staircase generator {g} is not a monomial")
             (e, c), = g.terms.items()
             if any(k for i, k in enumerate(e) if i not in gidx):
-                raise ValueError("staircase generator involves non-geometric variables")
+                raise UsageError("staircase generator involves non-geometric variables")
             monos.append(tuple(e[i] for i in gidx))
         self.staircase = _minimal_monomial_generators(monos)
 
@@ -70,15 +70,16 @@ class GroebnerStratumChart:
             for b in self.standard_monomials:
                 if key(b) < key(m):
                     slots.append((j, b))
-        if param_names is None:
-            letters = [c for c in "klmnopqruvabcdefghij" if c not in geo_vars]
+        if param_names is None:  # clear of a family's parameters too
+            letters = [c for c in "klmnopqruvabcdefghij"
+                       if c not in base_ring.variables]
             if len(slots) <= len(letters):
                 param_names = letters[:len(slots)]
             else:
                 param_names = [f"c{j + 1}_" + "_".join(map(str, b))
                                for j, b in slots]
         if len(param_names) != len(slots):
-            raise ValueError(
+            raise UsageError(
                 f"chart needs {len(slots)} parameter names, got {len(param_names)}")
         self.param_names = tuple(param_names)
         self.slots = slots
@@ -187,7 +188,7 @@ def relative_hilb_equations(F: ContactFamily,
     reduced by the generic generators, with all parameters free."""
     clash = set(F.params) & set(chart.param_names)
     if clash:
-        raise ValueError(f"parameter name clash between family and chart: {clash}")
+        raise Unsupported(f"parameter name clash between family and chart: {clash}")
     ring = F.E.ring.extend(chart.param_names)
     residue = chart.geo_reduce(F.E.map_to(ring))
     eqs = chart._coefficients_on_standard(residue)
@@ -468,8 +469,8 @@ def lift_chart_equivalence(F: ContactFamily,
     """
     F.require_contact()
     if sorted(chart.staircase) != [(0, 1), (2, 0)]:
-        raise ValueError("lift equivalence is implemented for the "
-                         "[y, x^2] staircase only")
+        raise Unsupported("lift equivalence is implemented for the "
+                          "[y, x^2] staircase only")
     base = relative_hilb_equations(F, chart)
     ring = base.ring
     gidx = [ring.index(v) for v in (F.x, F.y)]
@@ -490,8 +491,8 @@ def lift_chart_equivalence(F: ContactFamily,
     f1, f0 = lin_coeffs(F.f)
     g1, g0 = lin_coeffs(F.g)
     if not g1.is_zero():
-        raise ValueError("boundary factor must reduce to a constant in x "
-                         "on this chart")
+        raise Unsupported("boundary factor must reduce to a constant in x "
+                          "on this chart")
     unit = g0
     if unit.constant_term() == 0:
         raise NotAUnit("reduced boundary factor vanishes at the base point")

@@ -14,8 +14,8 @@ from . import jobs
 from .charts import GroebnerStratumChart
 from .errors import ParseError, UsageError, WContactError
 from .families import ContactFamily
-from .ops import (OPS, REQUIRED, Op, call, known_order, nonzero, parse_order,
-                  parse_point, positive, public)
+from .ops import (OPS, REQUIRED, Op, known_order, nonzero, parse_point,
+                  positive, public)
 from .poly import PolyRing, TermOrder
 
 
@@ -26,7 +26,7 @@ def load_family(path: str) -> ContactFamily:
     params: Tuple[str, ...] = ()
     kind = "contact"
     expr = None
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -146,7 +146,7 @@ def _flag(name: str):
     unless the error already names its argument."""
     try:
         yield
-    except (WContactError, ValueError) as exc:
+    except WContactError as exc:
         raise UsageError(str(exc), getattr(exc, "arg", None) or name) from None
 
 
@@ -171,12 +171,12 @@ def _inputs(op: Op, args) -> Dict[str, Any]:
 
 def _chart(args, family) -> GroebnerStratumChart:
     geo = family.geo_vars() if family else ("x", "y")
-    geo_ring = PolyRing(geo)
-    stair = nonzero([geo_ring.parse(t) for t in args.chart.split(",")
+    ring = family.E.ring if family else PolyRing(geo)
+    stair = nonzero([ring.parse(t) for t in args.chart.split(",")
                      if t.strip()])
     with _flag("order"):
-        order = known_order(parse_order(args.order), geo_ring) if args.order \
-            else TermOrder.lex((geo[1], geo[0]))
+        order = known_order(TermOrder.parse(args.order), PolyRing(geo)) \
+            if args.order else TermOrder.lex((geo[1], geo[0]))
     names = args.chart_params.split(",") if args.chart_params else None
     return GroebnerStratumChart(stair, order, names, geo)
 
@@ -196,7 +196,7 @@ def _read(a, args, ring: Optional[PolyRing], family) -> Any:
     if kind in ("vars", "listed-vars"):
         return ring.variables
     if kind in ("order", "point"):
-        parse = parse_order if kind == "order" else parse_point
+        parse = TermOrder.parse if kind == "order" else parse_point
         return parse(value) if value else a.default
     return value if value is None or kind == "seed" else positive(value)
 
@@ -219,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _refuse(args, f"{extra[0]}: not an argument of {args.command}")
     try:
         if args.command == "run":
-            with open(args.jobfile) as fh:
+            with open(args.jobfile, errors="replace") as fh:
                 text = fh.read()
             if args.seed:
                 text = text + f"\nseed {args.seed}\n"
@@ -227,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = 1 if report["failed_tasks"] else 0
         else:
             op = OPS[args.command]
-            report = public(call(op, _inputs(op, args)))
+            report = public(op.handler(**_inputs(op, args)))
             code = 1 if report.get("ok") is False else 0
     except UsageError as exc:
         flag = f"--{exc.arg}: " if exc.arg else ""

@@ -28,7 +28,7 @@ class UsageError(WContactError):
 
 
 class Unsupported(WContactError):
-    """An input an operation's code does not handle (a library ValueError)."""
+    """An input an operation's code does not handle."""
 
 
 class UnknownVariable(WContactError):

@@ -32,8 +32,8 @@ from typing import Any, Dict, List, Tuple
 from .charts import GroebnerStratumChart
 from .errors import JobError, UsageError, WContactError
 from .families import ContactFamily
-from .ops import (GEO, OPS, REQUIRED, Op, call, nonzero, parse_order,
-                  parse_point, positive, public)
+from .ops import (GEO, OPS, REQUIRED, Op, nonzero, parse_point, positive,
+                  public)
 from .poly import Poly, PolyRing, TermOrder
 from .series import DEFAULT_TRUNCATION
 
@@ -79,12 +79,12 @@ def parse_job(text: str) -> JobContext:
             continue
         try:
             _parse_line(ctx, line)
+        except UsageError as exc:  # a value the directive cannot use
+            raise JobError(f"line {lineno}: {exc}") from None
         except WContactError as exc:
             # keep the type and attributes, such as a ParseError's position
             exc.args = (f"line {lineno}: {exc}",)
             raise
-        except Exception as exc:
-            raise JobError(f"line {lineno}: {exc}") from exc
     _validate_references(ctx)
     return ctx
 
@@ -93,9 +93,9 @@ def _parse_line(ctx: JobContext, line: str):
     head, _, rest = line.partition(" ")
     rest = rest.strip()
     if head == "seed":
-        ctx.seed = int(rest)
+        ctx.seed = _integer(rest, "seed", check=int)
     elif head == "trunc":
-        ctx.trunc = _positive_int(rest, "trunc")
+        ctx.trunc = _integer(rest, "trunc")
     elif head == "vars":
         ctx.vars = tuple(rest.replace(",", " ").split())
     elif head == "params":
@@ -116,8 +116,8 @@ def _parse_line(ctx: JobContext, line: str):
             if kind not in ("contact", "interior"):
                 raise JobError(f"family kind must be contact or interior")
             E = PolyRing(ctx.vars + ctx.params).parse(expr.strip())
-            ctx.families[name] = ContactFamily(
-                E, ctx.params, kind, x=ctx.vars[0], y=ctx.vars[1])
+            ctx.families[name] = ContactFamily(E, ctx.params, kind,
+                                               *_geo_vars(ctx))
         elif head == "ideal":
             ctx.ideals[name] = [ring.parse(g) for g in body.split(",")]
         elif head == "chart":
@@ -137,10 +137,10 @@ _TABLES = {"family": ("families", "family"), "chart": ("charts", "chart"),
            "poly": ("polys", "polynomial")}
 
 
-def _positive_int(text: str, what: str,
-                  problem: str = "must be an integer") -> int:
+def _integer(text: str, what: str, problem: str = "must be an integer",
+             check=positive) -> int:
     try:
-        return positive(int(text))
+        return check(int(text))
     except ValueError:
         raise JobError(f"{what} {problem}") from None
     except UsageError as exc:
@@ -162,7 +162,7 @@ def _read_task(op: str, tokens: List[str]) -> Dict[str, Any]:
         for a in args:  # keyword pairs first; what is left is an order or vars
             if a.kind == "int" and a.name in rest:
                 i = rest.index(a.name)
-                values[a.name] = _positive_int(
+                values[a.name] = _integer(
                     "".join(rest[i + 1:i + 2]), f"task {op!r}: {a.name!r}",
                     "needs an integer")
                 del rest[i:i + 2]
@@ -176,14 +176,14 @@ def _read_task(op: str, tokens: List[str]) -> Dict[str, Any]:
                 values[a.name] = a.default
         for a in args:
             if a.kind == "count":
-                values[a.name] = _positive_int(values[a.name],
-                                               f"task {op!r}: {a.name!r}")
-            elif a.kind == "order":
-                values[a.name] = parse_order(" ".join(rest)) if rest else None
+                values[a.name] = _integer(values[a.name],
+                                          f"task {op!r}: {a.name!r}")
+            elif a.kind == "order" and rest:
+                values[a.name] = TermOrder.parse(" ".join(rest))
                 rest = []
             elif a.kind == "listed-vars" and rest:
                 values[a.name] = PolyRing(rest.pop(0).split(",")).variables
-    except (UsageError, ValueError) as exc:  # ValueError: a bad variable list
+    except UsageError as exc:
         raise JobError(f"task {op!r}: {exc}") from None
     if rest:
         raise JobError(f"task {op!r}: unexpected {' '.join(rest)!r}")
@@ -204,11 +204,16 @@ def _parse_chart(ctx: JobContext, body: str) -> GroebnerStratumChart:
         names = [n.strip() for n in names_text.split(",") if n.strip()]
     else:
         order_text = tail
-    geo_ring = PolyRing(ctx.vars)
-    stair = [geo_ring.parse(m) for m in stair_text.split(",")]
+    ring = PolyRing(ctx.vars + ctx.params)
+    stair = [ring.parse(m) for m in stair_text.split(",")]
     order = TermOrder.parse(order_text.strip())
-    return GroebnerStratumChart(stair, order, names,
-                                (ctx.vars[0], ctx.vars[1]))
+    return GroebnerStratumChart(stair, order, names, _geo_vars(ctx))
+
+
+def _geo_vars(ctx: JobContext) -> Tuple[str, str]:
+    if len(ctx.vars) < 2:
+        raise JobError("the vars line needs at least two names")
+    return ctx.vars[:2]
 
 
 def _validate_references(ctx: JobContext):
@@ -277,7 +282,7 @@ def run_task(ctx: JobContext, name: str, op: str, args: List[str]
     for a in spec.args:
         values[a.name] = _resolve(ctx, name, spec, a, values)
     try:
-        return call(spec, values)
+        return spec.handler(**values)
     except UsageError as exc:  # a value only the handler can check
         raise JobError(f"task {op!r}: {exc.arg}: {exc}") from None
 

@@ -5,9 +5,9 @@ An argument's kind says what it is; cli reads each kind from flags and jobs
 from a task line (the README lists both forms).  An 'ideal' loses its zero
 generators and must keep one, while 'gens' is taken as written; every count,
 int and trunc is at least 1; a job may list 'listed-vars' at the end of a
-task line.  call() runs a handler on the typed values and returns its report;
-keys starting with '_' stay out of it ('_polys' passes polynomials on to the
-later tasks of a job).
+task line.  A handler takes the typed values as keywords and returns its
+report; keys starting with '_' stay out of it ('_polys' passes polynomials
+on to the later tasks of a job).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .charts import (lift_chart_equivalence, lift_contact, lift_interior,
                      relative_hilb_equations, verify_membership_equivalence)
-from .errors import Unsupported, UsageError, WContactError
+from .errors import UsageError
 from .families import to_distinguished
 from .geometry import (AffineScheme, nested_singularity_report,
                        singular_locus_ideal, tangent_space_dim, variety_equal)
@@ -69,13 +69,6 @@ def nonzero(gens: List[Poly]) -> List[Poly]:
     return gens
 
 
-def parse_order(text: str) -> TermOrder:
-    try:
-        return TermOrder.parse(text)
-    except (ValueError, WContactError) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def known_order(order: Optional[TermOrder], ring) -> Optional[TermOrder]:
     """The order, if any; one naming a variable outside the ring is a usage
     error of the 'order' argument."""
@@ -96,15 +89,6 @@ def parse_point(text: str) -> Dict[str, Fraction]:
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"{part.strip()!r} is not name=rational") from None
     return point
-
-
-def call(op: Op, values: Dict[str, Any]) -> Dict[str, Any]:
-    """The handler's result; a ValueError of the library code it calls, an
-    input the operation does not handle, becomes Unsupported."""
-    try:
-        return op.handler(**values)
-    except ValueError as exc:
-        raise Unsupported(str(exc)) from exc
 
 
 def public(result: Dict[str, Any]) -> Dict[str, Any]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from .errors import ParseError, UnknownVariable
+from .errors import ParseError, UnknownVariable, UsageError
 
 Exponents = Tuple[int, ...]
 Row = Dict[Exponents, int]  # an integer row: a polynomial up to a scale
@@ -30,10 +30,10 @@ class PolyRing:
     def __init__(self, variables: Iterable[str]):
         self.variables: Tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variable names: {self.variables}")
+            raise UsageError(f"duplicate variable names: {self.variables}")
         for v in self.variables:
             if not _NAME_RE.fullmatch(v):
-                raise ValueError(f"invalid variable name: {v!r}")
+                raise UsageError(f"invalid variable name: {v!r}")
         self._index = {v: i for i, v in enumerate(self.variables)}
 
     def __eq__(self, other):
@@ -528,11 +528,11 @@ class TermOrder:
         self.blocks = ((kind, tuple(priority)),) + rest
         for k, _ in self.blocks:
             if k not in ("lex", "degrevlex"):
-                raise ValueError(f"unknown order kind {k!r}")
+                raise UsageError(f"unknown order kind {k!r}")
         self.kind = "block" if rest else kind
         self.priority = sum((p for _, p in self.blocks), ())
         if len(set(self.priority)) < len(self.priority):
-            raise ValueError(f"a variable repeats in the order {self!r}")
+            raise UsageError(f"a variable repeats in the order {self!r}")
 
     @classmethod
     def lex(cls, priority: Iterable[str]) -> "TermOrder":
@@ -629,7 +629,11 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected character {text[pos]!r}", pos)
             break
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            try:
+                value = int(m.group("int"))
+            except ValueError:  # past Python's limit on digits
+                raise ParseError("integer too long", m.start("int")) from None
+            tokens.append(("int", value, m.start("int")))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -647,11 +651,13 @@ def _parse(text: str, ring: PolyRing) -> Poly:
     Grammar: integers, identifiers, ``+ - * / ^ ( )``; ``^`` binds
     tightest with a nonnegative integer exponent; ``*`` and ``/`` are
     explicit and associate to the left, and a divisor must be a nonzero
-    constant; unary minus is allowed.
+    constant; unary minus is allowed, and nests with parentheses at most
+    100 deep.
     """
     tokens = _tokenize(text)
     n = len(tokens)
     pos = [0]
+    depth = [0]  # open parentheses and unary minus signs around the atom
 
     def peek():
         return tokens[pos[0]] if pos[0] < n else (None, None, len(text))
@@ -722,14 +728,16 @@ def _parse(text: str, ring: PolyRing) -> Poly:
             if v not in ring._index:
                 raise UnknownVariable(f"unknown variable {v!r}")
             return ring.var(v)
-        if t == "op" and v == "(":
+        if t == "op" and v in "(-":
+            if depth[0] == 100:  # well inside Python's recursion limit
+                raise ParseError("expression nested too deeply", p)
+            depth[0] += 1
             advance()
-            inner = parse_sum()
-            expect_op(")")
+            inner = -parse_atom() if v == "-" else parse_sum()
+            if v == "(":
+                expect_op(")")
+            depth[0] -= 1
             return inner
-        if t == "op" and v == "-":
-            advance()
-            return -parse_atom()
         raise ParseError("expected a term", p)
 
     if not tokens:

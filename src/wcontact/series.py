@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CertificationFailed, ContactOrderMismatch,
                      InconsistentBranchCount, InfiniteColength, NotAUnit,
-                     NotIsolated)
+                     NotIsolated, Unsupported)
 from .linalg import echelon
 from .poly import (Exponents, Poly, PolyRing, TermOrder, from_row, mono_mul,
                    row_product)
@@ -192,7 +192,7 @@ def weierstrass_prepare_x(E: Poly, w: int, N: int = DEFAULT_TRUNCATION,
         raise ContactOrderMismatch(
             f"ord_x E(x, 0) = {ord_x}, expected contact order {w}")
     if N < w:
-        raise ValueError(f"truncation order {N} below contact order {w}")
+        raise Unsupported(f"truncation order {N} below contact order {w}")
 
     Ets = TruncatedSeries(E, N, trunc_vars)
     _, q0 = _x_split(Ets.body, xi, w)
@@ -234,7 +234,7 @@ class LocalIdeal:
                  variables: Optional[Sequence[str]] = None):
         generators = [g for g in generators if not g.is_zero()]
         if not generators:
-            raise ValueError("no nonzero generators")
+            raise Unsupported("no nonzero generators")
         self.ring = generators[0].ring
         for g in generators:
             if g.ring != self.ring:
@@ -244,7 +244,7 @@ class LocalIdeal:
         for g in generators:
             extra = set(g.variables_used()) - set(self.variables)
             if extra:
-                raise ValueError(
+                raise Unsupported(
                     f"generator {g} involves non-series variables {sorted(extra)}")
         self.generators = list(generators)
         # Bezout: n general combinations of the generators, of degree <= d,

@@ -14,7 +14,8 @@ from wcontact.charts import (GroebnerStratumChart, an_surface,
                              substitute_with_denominator,
                              verify_membership_equivalence)
 from wcontact.errors import (InfiniteColength, SamplingFailed,
-                             UnknownVariable, WrongKind)
+                             UnknownVariable, Unsupported, UsageError,
+                             WrongKind)
 from wcontact.families import ContactFamily, multiply_unit
 from wcontact.groebner import (_Reducer, gb_buchberger, normal_form,
                               standard_monomials)
@@ -72,16 +73,30 @@ class TestChartConstruction:
         c = GroebnerStratumChart([GEO.parse("y"), GEO.parse("x^2")],
                                  LEX_YX, param_names=("a", "b", "c", "d"))
         assert c.param_names == ("a", "b", "c", "d")
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             GroebnerStratumChart([GEO.parse("y"), GEO.parse("x^2")],
                                  LEX_YX, param_names=("a",))
+
+    def test_default_names_skip_every_variable_of_the_staircase_ring(self):
+        """A staircase read in a family's ring names its parameters clear of
+        the family's, so sampling keeps the family's k and the chart's
+        parameters apart."""
+        ring = PolyRing(("x", "y", "k", "t"))
+        F = ContactFamily.contact(
+            ring.parse("(y^2+x^4)+k*x*(y+x^3)+t*(y+x^4)"), ("k", "t"))
+        c = GroebnerStratumChart([ring.parse("y"), ring.parse("x^2")], LEX_YX)
+        assert c.param_names == ("l", "m", "n", "o")
+        report = verify_membership_equivalence(F, c.generic_generators,
+                                               samples=2, seed=1)
+        assert report.ok
+        assert all(set(s.point) == set("ktlmno") for s in report.samples)
 
     def test_infinite_staircase_rejected(self):
         with pytest.raises(InfiniteColength):
             GroebnerStratumChart([GEO.parse("y")], LEX_YX)
 
     def test_non_monomial_generator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             GroebnerStratumChart([GEO.parse("y + x")], LEX_YX)
 
     def test_generic_chart_alias(self):
@@ -203,7 +218,7 @@ class TestRelativeEquations:
     def test_name_clash_rejected(self):
         ring = PolyRing(("x", "y", "k"))
         F = ContactFamily.contact(ring.parse("y^2 + x^4 + k*y"), ("k",))
-        with pytest.raises(ValueError):
+        with pytest.raises(Unsupported):
             relative_hilb_equations(F, chart_yx2())
 
 
@@ -853,5 +868,5 @@ class TestLiftChartEquivalence:
     def test_other_staircase_rejected(self):
         F = fam_st()
         c = GroebnerStratumChart([GEO.parse("x"), GEO.parse("y")], LEX_YX)
-        with pytest.raises(ValueError):
+        with pytest.raises(Unsupported):
             lift_chart_equivalence(F, c)

@@ -1,9 +1,11 @@
 """End-to-end command-line interface and job-runner tests; every JSON report
 must validate against the published schema."""
 
+import collections
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -14,10 +16,11 @@ import wcontact
 from wcontact import cli
 from wcontact.charts import GroebnerStratumChart
 from wcontact.cli import build_parser, load_family, main
-from wcontact.errors import JobError, ParseError
+from wcontact.errors import (JobError, ParseError, UnknownVariable,
+                             WContactError)
 from wcontact.jobs import parse_job, run_job
 from wcontact.ops import OPS
-from wcontact.poly import PolyRing
+from wcontact.poly import PolyRing, canonical_form
 
 PKG_DIR = pathlib.Path(wcontact.__file__).parent
 FAM = str(PKG_DIR / "data" / "codim4.fam")
@@ -582,6 +585,10 @@ MALFORMED = [
     (["nf", "--poly", "x", "--gens", "x,y", "--vars", "x,y",
       "--order", "degrevlex y>x>z"], 2),
     (["chart", "--chart", "y, x^2", "--order", "lex y>s"], 2),
+    (["chart", "--chart", "y+x, x^2"], 2),
+    (["chart", "--chart", "y, x^2", "--chart-params", "a,b"], 2),
+    (["colength", "--gens", "x, y^2", "--vars", "x,x"], 2),
+    (["prepare", "--family", "vars x x\ny^2+x^4\n"], 2),
     ("trunc 0", "JobError"),
     ("poly Q = x/y", "ParseError"),
     ("poly Q = y^2/0", "ParseError"),
@@ -603,10 +610,17 @@ MALFORMED = [
     ("task a = gb I lex x>x", "JobError"),
     ("task a = gb I lex x>q", "JobError"),
     ("task a = nf P I degrevlex y>x>z", "JobError"),
+    ("vars x y z\nchart D = staircase z, x order lex y>x", "JobError"),
+    ("chart D = staircase y, x^2 order foo", "JobError"),
     # inputs the library code does not handle
     (["prepare", "--family", FAM, "--trunc", "2"], "Unsupported"),
     (["lift-equiv", "--family", FAM, "--chart", "y^2, x*y, x^2"],
      "Unsupported"),
+    (["milnor", "--poly", "0"], "Unsupported"),
+    (["hilb-eq", "--family", FAM, "--chart", "y, x^2",
+      "--chart-params", "s,u,v,w"], "Unsupported"),
+    (["lift-equiv", "--chart", "y, x^2", "--family",
+      "vars x y\nparams s\ny*(y+s*x) + x^2*(1+x+s*y)\n"], "Unsupported"),
     ("trunc 2\ntask a = prepare F", "Unsupported"),
     ("ideal J = y - s*x, x^2\ntask a = phi F J", "Unsupported"),
 ]
@@ -650,6 +664,132 @@ def test_chart_order_outside_the_geometric_ring_is_an_order_error(capsys):
     assert main(["chart", "--chart", "y, x^2", "--order", "lex y>s"]) == 2
     assert "error: --order: 's' is not a variable of PolyRing(x, y)" in \
         capsys.readouterr().err
+
+
+def test_a_fault_of_the_program_is_not_reported_as_input(monkeypatch):
+    """Only the typed refusals of the library are reports: a handler that
+    raises a plain ValueError has a bug, and the ValueError propagates out
+    of both front ends."""
+    def broken(**values):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setitem(OPS, "milnor", OPS["milnor"]._replace(handler=broken))
+    with pytest.raises(ValueError, match="a fault of the program"):
+        main(["milnor", "--poly", "y^2+x^4"])
+    with pytest.raises(ValueError, match="a fault of the program"):
+        run_job(JOB_HEAD + "task a = milnor P\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed abc\n", "line 1: seed must be an integer"),
+    ("seed 1.5\n", "line 1: seed must be an integer"),
+    ("vars x\nfamily F = contact x^2\n",
+     "line 2: the vars line needs at least two names"),
+    ("vars x\nchart C = staircase x^2 order lex x\n",
+     "line 2: the vars line needs at least two names"),
+], ids=["seed-abc", "seed-1.5", "family-one-var", "chart-one-var"])
+def test_job_directive_faults_are_named(text, message):
+    with pytest.raises(JobError) as exc:
+        parse_job(text)
+    assert str(exc.value) == message
+
+
+def test_a_job_expression_is_read_before_the_vars_count_is_checked():
+    with pytest.raises(UnknownVariable, match="line 2: unknown variable 'y'"):
+        parse_job("vars x\nfamily F = contact y^2 + x^4\n")
+
+
+def test_undecodable_files_are_malformed_input(tmp_path, capsys):
+    """Bytes that are not UTF-8 are read as replacement characters, which
+    no parser accepts: a usage error of --family, a refused job."""
+    fam = tmp_path / "bin.fam"
+    fam.write_bytes(b"vars x y\n\xff\xfe\n")
+    assert main(["prepare", "--family", str(fam)]) == 2
+    assert "error: --family: unexpected character" in capsys.readouterr().err
+    job, out = tmp_path / "bin.job", tmp_path / "r.json"
+    job.write_bytes(b"seed 1\n\xff\xfe\n")
+    assert main(["run", str(job), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["error"]["type"] == "JobError"
+
+
+def _token_mutants(text, count, seed):
+    """``count`` copies of ``text``, each with one to three of its
+    space-separated tokens replaced, deleted, doubled or edited."""
+    rng = random.Random(seed)
+    pool = text.split() + ["", "0", "-1", "x,x", "foo", "(", ")", "1/0", "=",
+                           ",", "^", "y>x", "1.5", "vars", "params"]
+    for _ in range(count):
+        lines = text.splitlines()
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            words = lines[i].split(" ")
+            j = rng.randrange(len(words))
+            edit = rng.randrange(4)
+            if edit == 0:
+                words[j] = rng.choice(pool)
+            elif edit == 1:
+                del words[j]
+            elif edit == 2:
+                words.insert(j, rng.choice(pool))
+            elif words[j]:
+                k = rng.randrange(len(words[j]))
+                words[j] = (words[j][:k] + rng.choice("xy0123,()^*+-/>= ")
+                            + words[j][k + 1:])
+            lines[i] = " ".join(words)
+        yield "\n".join(lines) + "\n"
+
+
+def test_mutated_job_and_family_files_parse_or_fail_typed(tmp_path):
+    """200 seeded token mutants each of the shipped job and family either
+    parse or fail with a WContactError; any other exception would be a
+    fault of the program."""
+    outcomes = collections.Counter()
+    fam = tmp_path / "m.fam"
+    for path, load in ((JOB, parse_job), (FAM, load_family)):
+        for text in _token_mutants(pathlib.Path(path).read_text(), 200, 23):
+            if path == FAM:
+                fam.write_text(text)
+                text = str(fam)
+            try:
+                load(text)
+                outcomes[path, "parsed"] += 1
+            except WContactError:
+                outcomes[path, "refused"] += 1
+    assert len(outcomes) == 4, outcomes  # each file both parses and fails
+
+
+class TestDefaultChartNames:
+    """Without --chart-params or names, a chart's parameters take the
+    letters k, l, m, n, ... that are not variables of the family's ring."""
+
+    KT = "(y^2+x^4)+k*x*(y+x^3)+t*(y+x^4)"  # codim4's family, s renamed k
+
+    def test_command_line(self, tmp_path):
+        fam = tmp_path / "kt.fam"
+        fam.write_text(f"vars x y\nparams k t\n{self.KT}\n")
+        code, kt = check(["hilb-eq", "--family", str(fam),
+                          "--chart", "y, x^2"], tmp_path)
+        assert code == 0
+        assert kt["family_parameters"] == ["k", "t"]
+        assert kt["chart_parameters"] == ["l", "m", "n", "o"]
+        code, st = check(["hilb-eq", "--family", FAM, "--chart", "y, x^2"],
+                         tmp_path)
+        assert code == 0
+        # the same equations, with each name of s, k, l, m, n one letter on
+        rename = str.maketrans("sklmn", "klmno")
+        ring = PolyRing(("x", "y", "k", "t", "l", "m", "n", "o"))
+        assert [canonical_form(ring.parse(q["canonical"]))
+                for q in kt["equations"]] == \
+            [canonical_form(ring.parse(q["canonical"].translate(rename)))
+             for q in st["equations"]]
+
+    def test_job(self):
+        report = run_job(f"vars x y\nparams k t\nfamily F = contact {self.KT}"
+                         "\nchart C = staircase y, x^2 order lex y>x\n"
+                         "task c = chart C\ntask e = hilb-eq F C\n")
+        assert report["failed_tasks"] == 0
+        assert report["tasks"]["c"]["result"]["parameters"] == \
+            ["l", "m", "n", "o"]
 
 
 HELP_AND_USAGE = [[], ["-h"], ["--help"], ["bogus"]] + [

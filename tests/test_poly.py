@@ -2,12 +2,13 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcontact.errors import ParseError, UnknownVariable
+from wcontact.errors import ParseError, UnknownVariable, UsageError
 from wcontact.poly import (Poly, PolyRing, Specialization, TermOrder,
                            canonical_form, from_row, poly_str)
 
@@ -132,6 +133,27 @@ class TestParser:
         with pytest.raises(ParseError):
             R.parse("2x")
 
+    def test_nesting_is_bounded(self):
+        """Parentheses and unary minus signs nest at most 100 deep, well
+        inside Python's recursion limit."""
+        assert R.parse("(" * 100 + "x" + ")" * 100) == x
+        assert R.parse("x*" + "-" * 100 + "y") == x * y
+        for text, at in (("(" * 101 + "x" + ")" * 101, 100),
+                         ("(" * 1000 + "x" + ")" * 1000, 100),
+                         ("x*" + "-" * 101 + "y", 102)):
+            with pytest.raises(ParseError, match="nested too deeply") as err:
+                R.parse(text)
+            assert err.value.position == at
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python converts integers of any length")
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self):
+        digits = sys.get_int_max_str_digits()
+        assert R.parse("9" * digits) == R.const(10 ** digits - 1)
+        with pytest.raises(ParseError, match="integer too long") as err:
+            R.parse("x + " + "9" * (digits + 1))
+        assert err.value.position == 4
+
 
 def random_poly(rng, ring, max_terms=6, max_deg=4, bound=9):
     terms = {}
@@ -199,9 +221,9 @@ class TestTermOrders:
         full = order.for_ring(ring)
         assert full == geo.then(TermOrder.lex(("t", "s")))
         assert full.for_ring(ring) is full
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             geo.then(TermOrder.lex(("y",)))
-        with pytest.raises(ValueError, match="unknown order kind 'foo'"):
+        with pytest.raises(UsageError, match="unknown order kind 'foo'"):
             TermOrder("lex", ("x",), ("foo", ("y",)))
         # the geometric block decides first: x*y > x*t^5 > y*s
         key = order.key_function(ring)
