@@ -90,20 +90,26 @@ def tangent_space_dim(S: AffineScheme, point: Dict[str, Fraction]) -> int:
 
 def variety_equal(a_gens: Sequence[Poly], b_gens: Sequence[Poly]) -> bool:
     """V(A) = V(B) over the algebraic closure: every generator of each ideal
-    lies in the radical of the other."""
+    lies in the radical of the other.  Both sides are read in A's ring,
+    extended by the variables B uses that it lacks, so the argument order
+    never decides whether B fits."""
     a_gens = [g for g in a_gens if not g.is_zero()]
     b_gens = [g for g in b_gens if not g.is_zero()]
     if not a_gens or not b_gens:
         return not a_gens and not b_gens
-    ring = a_gens[0].ring
-    b_in_ring = [g.map_to(ring) for g in b_gens]
-    return (_all_in_radical(b_in_ring, a_gens)
-            and _all_in_radical(a_gens, b_in_ring))
+    ring = a_gens[0].ring.extend(
+        v for g in b_gens for v in g.variables_used())
+    a_gens = [g.map_to(ring) for g in a_gens]
+    b_gens = [g.map_to(ring) for g in b_gens]
+    return (_all_in_radical(b_gens, a_gens)
+            and _all_in_radical(a_gens, b_gens))
 
 
 def _all_in_radical(targets: Sequence[Poly], gens: Sequence[Poly]) -> bool:
     """Each target lies in the radical of the ideal; one shared basis, with a
-    cheap test of its first 12 powers before the certified check."""
+    cheap test of its first 12 powers before the certified check.  Each
+    power is reduced as it is formed: NF(NF(p)·t) = NF(p·t), so the product
+    never grows past the normal forms."""
     ring = gens[0].ring
     order = TermOrder.degrevlex(ring.variables)
     gb = gb_buchberger(list(gens), order)
@@ -111,8 +117,8 @@ def _all_in_radical(targets: Sequence[Poly], gens: Sequence[Poly]) -> bool:
     for t in targets:
         p = ring.one()
         for _ in range(12):
-            p = p * t
-            if normal_form(p, gb).is_zero():
+            p = normal_form(p * t, gb)
+            if p.is_zero():
                 break
         else:
             if not radical_membership(t, basis):

@@ -440,17 +440,27 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
         dh, code = divs[h], basis.code
         guard, lcm = code.guard, code.lcm
         sugars.append(sugar)
-        # criteria M and F, then the coprime-lead criterion, on new pairs;
-        # l divides m iff m - l sets no guard bit
-        cands = []
-        for g in active:
-            m = lcm(divs[g], dh)
-            cands.append((m, g, m == divs[g] + dh))
-        kept = []
-        for k, (m, g, coprime) in enumerate(cands):
-            if coprime or all((m - l) & guard
-                              for l, _, _ in cands[k + 1:] + kept):
-                kept.append((m, g, coprime))
+        # criteria M and F, then the coprime-lead criterion, on new pairs:
+        # a candidate goes when a kept or a later lcm divides its own (l
+        # divides m iff m - l sets no guard bit); a coprime one makes no
+        # pair but its lcm still prunes
+        lcms = [lcm(divs[g], dh) for g in active]
+        kept, kept_lcms = [], []
+        for k, g in enumerate(active):
+            m = lcms[k]
+            if m == divs[g] + dh:
+                kept_lcms.append(m)
+                continue
+            for l in kept_lcms:
+                if not (m - l) & guard:
+                    break
+            else:
+                for l in lcms[k + 1:]:
+                    if not (m - l) & guard:
+                        break
+                else:
+                    kept.append((m, g))
+                    kept_lcms.append(m)
         # criterion B on the pending pairs
         if pairs:
             pairs[:] = [p for p in pairs if (p[4] - dh) & guard
@@ -458,13 +468,12 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
                         or lcm(divs[p[3]], dh) == p[4]]
             heapq.heapify(pairs)
         eh = exps[h]
-        for m, g, coprime in kept:
-            if not coprime:
-                e = mono_lcm(exps[g], eh)
-                deg = sum(e)
-                pair_sugar = max(sugars[g] + deg - sum(exps[g]),
-                                 sugar + deg - sum(eh))
-                heapq.heappush(pairs, (pair_sugar, code.pack(e), g, h, m))
+        for m, g in kept:
+            e = mono_lcm(exps[g], eh)
+            deg = sum(e)
+            pair_sugar = max(sugars[g] + deg - sum(exps[g]),
+                             sugar + deg - sum(eh))
+            heapq.heappush(pairs, (pair_sugar, code.pack(e), g, h, m))
         active[:] = [g for g in active if (divs[g] - dh) & guard]
         active.append(h)
         return not dh

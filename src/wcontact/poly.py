@@ -508,11 +508,11 @@ def canonical_form(p: Poly, order: "TermOrder" = None) -> Tuple[str, Fraction]:
     if p.is_zero():
         return "0", Fraction(1)
     terms, scale = p.primitive_terms()
-    prim = Poly(p.ring, {e: Fraction(c) for e, c in terms.items()})
-    lead_c = prim.sorted_terms(order)[0][1]
-    if lead_c < 0:
-        prim, scale = -prim, -scale
-    return poly_str(prim, order), scale
+    order = order or TermOrder.degrevlex(p.ring.variables)
+    if terms[max(terms, key=order.key_function(p.ring))] < 0:
+        terms, scale = {e: -c for e, c in terms.items()}, -scale
+    # poly_str reads the integer coefficients as it would their Fractions
+    return poly_str(Poly(p.ring, terms), order), scale
 
 
 class TermOrder:

@@ -2,6 +2,7 @@
 must validate against the published schema."""
 
 import collections
+import hashlib
 import json
 import os
 import pathlib
@@ -441,6 +442,31 @@ class TestJobs:
         assert data["failed_tasks"] == 1
         assert data["tasks"]["a"]["error"]["type"] == "SamplingFailed"
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_variety_eq_does_not_depend_on_the_argument_order(
+            self, tmp_path):
+        # I lives in the ring before the chart's names, J in the one after
+        job = tmp_path / "o.job"
+        job.write_text("ideal I = y, x^2\n"
+                       "chart C = staircase y, x^2 order lex y>x "
+                       "names k,l,m,n\n"
+                       "ideal J = k*y, x^2\n"
+                       "task a = variety-eq I J\n"
+                       "task b = variety-eq J I\n")
+        out = tmp_path / "r.json"
+        assert main(["run", str(job), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        VALIDATOR.validate(data)
+        assert data["tasks"]["a"]["result"] == {"equal": False}
+        assert data["tasks"]["b"]["result"] == {"equal": False}
+
+    def test_shipped_job_report_bytes(self, tmp_path):
+        """The codim-4 job at its own seed renders the report whose digest
+        the benchmark records."""
+        out = tmp_path / "r.json"
+        assert main(["run", JOB, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b4db4276950861ea9b6ca6fc141d6080f483b6fc8f3d8c5da1408abe92e34197")
 
     def test_cli_run_failure_exit_code(self, tmp_path):
         job = tmp_path / "f.job"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wcontact import geometry
+from wcontact import geometry, groebner
 from wcontact.errors import (CertificationFailed, PointNotOnScheme,
                              UnknownVariable)
 from wcontact.geometry import (AffineScheme, has_linear_factor,
@@ -84,6 +84,21 @@ class TestSingularLocus:
         S = AffineScheme(("x", "y"), [R2.parse("x*y")])
         with pytest.raises(ValueError):
             singular_locus_ideal(S)
+
+    def test_chart_basis_forms_202_s_polynomials(self, monkeypatch):
+        """Criterion M keeps the same pairs: the degrevlex basis of the
+        chart's singular-locus ideal forms 202 S-polynomials."""
+        calls = []
+        s_polynomial = groebner._Reducer.s_polynomial
+
+        def counting(self, *args):
+            calls.append(args)
+            return s_polynomial(self, *args)
+
+        sing = singular_locus_ideal(h_scheme())
+        monkeypatch.setattr(groebner._Reducer, "s_polynomial", counting)
+        gb_buchberger(sing, TermOrder.degrevlex(H_VARS))
+        assert len(calls) == 202
 
 
 def _solve_h_point(rng):
@@ -170,6 +185,55 @@ class TestVarietyEqual:
     def test_empty_inputs(self):
         assert variety_equal([], [])
         assert not variety_equal([R2.var("x")], [])
+
+    def test_either_side_may_use_variables_the_other_lacks(self):
+        RK = PolyRing(("x", "y", "k"))
+        a = [R2.var("y"), R2.parse("x^2")]
+        b = [RK.parse("k*y"), RK.parse("x^2")]
+        assert not variety_equal(a, b)
+        assert not variety_equal(b, a)
+        assert variety_equal(a, [RK.var("y"), RK.var("x")])
+        assert variety_equal([RK.var("y"), RK.var("x")], a)
+
+
+class TestAllInRadical:
+    """The power test reduces each power as it forms it; the Rabinowitsch
+    check decides what 12 powers do not."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        real = getattr(geometry, name)
+
+        def spy(*args):
+            calls.append((args[0], real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(geometry, name, spy)
+        return calls
+
+    def test_a_target_needing_its_fourth_power(self, monkeypatch):
+        # x^2 = y and y^2 = 0 in the quotient: x^3 = x*y is not zero,
+        # x^4 = y^2 is; each power is kept as its normal form
+        gens = [R2.parse("x^2 - y"), R2.parse("y^2")]
+        nf = self._spy(monkeypatch, "normal_form")
+        rabinowitsch = self._spy(monkeypatch, "radical_membership")
+        assert geometry._all_in_radical([R2.var("x")], gens)
+        assert [(str(p), str(r)) for p, r in nf] == [
+            ("x", "x"), ("x^2", "y"), ("x*y", "x*y"), ("x^2*y", "0")]
+        assert not rabinowitsch
+
+    def test_a_non_member_reaches_the_certified_check(self, monkeypatch):
+        nf = self._spy(monkeypatch, "normal_form")
+        rabinowitsch = self._spy(monkeypatch, "radical_membership")
+        assert not geometry._all_in_radical([R2.var("x")], [R2.parse("x*y")])
+        assert len(nf) == 12
+        assert [r for _, r in rabinowitsch] == [False]
+
+    def test_a_member_past_twelve_powers_is_certified(self, monkeypatch):
+        rabinowitsch = self._spy(monkeypatch, "radical_membership")
+        assert geometry._all_in_radical([R2.var("x")], [R2.parse("x^13")])
+        assert [r for _, r in rabinowitsch] == [True]
 
 
 class TestLinearFactor:

@@ -186,6 +186,39 @@ class TestRoundTrip:
         assert scale == -1
 
 
+def _canonical_form_by_sorting(p, order=None):
+    """``canonical_form`` by its definition: sort the primitive terms, and
+    negate the polynomial when the first is negative."""
+    if p.is_zero():
+        return "0", Fraction(1)
+    terms, scale = p.primitive_terms()
+    prim = Poly(p.ring, {e: Fraction(c) for e, c in terms.items()})
+    if prim.sorted_terms(order)[0][1] < 0:
+        prim, scale = -prim, -scale
+    return poly_str(prim, order), scale
+
+
+class TestCanonicalFormOracle:
+    ORDERS = [None, TermOrder.lex(("x", "y", "s", "t")),
+              TermOrder.lex(("t", "y", "x", "s")),
+              TermOrder.degrevlex(("s", "x", "t", "y")),
+              TermOrder.lex(("y",)).then(TermOrder.degrevlex(("x", "s", "t"))),
+              TermOrder.degrevlex(("s", "t")).then(TermOrder.lex(("y", "x")))]
+
+    def test_matches_the_sorted_definition(self):
+        rng = random.Random(2024)
+        ring = PolyRing(("x", "y", "s", "t"))
+        negative_leads = 0
+        for _ in range(300):
+            p = random_poly(rng, ring)
+            for order in self.ORDERS:
+                text, scale = canonical_form(p, order)
+                assert (text, scale) == _canonical_form_by_sorting(p, order)
+                assert type(scale) is Fraction
+                negative_leads += scale < 0
+        assert negative_leads > 100
+
+
 class TestTermOrders:
     def test_lex_priority(self):
         key = TermOrder.lex(("y", "x")).key_function(R)
