@@ -40,22 +40,19 @@ class GroebnerStratumChart:
                  order: TermOrder,
                  param_names: Optional[Sequence[str]] = None,
                  geo_vars: Tuple[str, str] = ("x", "y")):
-        base_ring = staircase_gens[0].ring
         self.geo_vars = geo_vars
         self.order = order
-        gidx = [base_ring.index(v) for v in geo_vars]
+        geo_ring = PolyRing(geo_vars)
 
         monos = []
         for g in staircase_gens:
             if len(g.terms) != 1:
                 raise UsageError(f"staircase generator {g} is not a monomial")
-            (e, c), = g.terms.items()
-            if any(k for i, k in enumerate(e) if i not in gidx):
+            if set(g.variables_used()) - set(geo_vars):
                 raise UsageError("staircase generator involves non-geometric variables")
-            monos.append(tuple(e[i] for i in gidx))
+            monos.extend(g.map_to(geo_ring).terms)
         self.staircase = _minimal_monomial_generators(monos)
 
-        geo_ring = PolyRing(geo_vars)
         self._geo_order = order.for_ring(geo_ring)
         key = order.key_function(geo_ring)
         self.staircase.sort(key=key, reverse=True)
@@ -71,8 +68,8 @@ class GroebnerStratumChart:
                 if key(b) < key(m):
                     slots.append((j, b))
         if param_names is None:  # clear of a family's parameters too
-            letters = [c for c in "klmnopqruvabcdefghij"
-                       if c not in base_ring.variables]
+            taken = {v for g in staircase_gens for v in g.ring.variables}
+            letters = [c for c in "klmnopqruvabcdefghij" if c not in taken]
             if len(slots) <= len(letters):
                 param_names = letters[:len(slots)]
             else:
@@ -84,26 +81,20 @@ class GroebnerStratumChart:
         self.param_names = tuple(param_names)
         self.slots = slots
 
+        # the geometric variables lead the chart ring, so a geometric
+        # exponent tuple pads out to one of the chart ring
         self.ring = PolyRing(tuple(geo_vars) + self.param_names)
-        self._geo_idx = [self.ring.index(v) for v in geo_vars]
+        self._pad = (0,) * len(self.param_names)
         self._key = key
 
-        def embed(geo_exp: Exponents) -> Exponents:
-            full = [0] * self.ring.nvars
-            for i, k in zip(self._geo_idx, geo_exp):
-                full[i] = k
-            return tuple(full)
-
-        self._embed = embed
         gens: List[Poly] = []
         pos = 0
         for j, m in enumerate(self.staircase):
-            terms = {embed(m): Fraction(1)}
+            terms = {m + self._pad: Fraction(1)}
             while pos < len(slots) and slots[pos][0] == j:
                 _, b = slots[pos]
-                name = self.param_names[pos]
-                pe = list(embed(b))
-                pe[self.ring.index(name)] = 1
+                pe = list(b + self._pad)
+                pe[self.ring.index(self.param_names[pos])] = 1
                 terms[tuple(pe)] = Fraction(-1)
                 pos += 1
             gens.append(Poly(self.ring, terms))
@@ -133,8 +124,8 @@ class GroebnerStratumChart:
                 lcm = mono_lcm(mi, mj)
                 if lcm == mono_mul(mi, mj):
                     continue  # coprime leads always confluent
-                si = self.ring.monomial(self._embed(mono_div(lcm, mi)))
-                sj = self.ring.monomial(self._embed(mono_div(lcm, mj)))
+                si = self.ring.monomial(mono_div(lcm, mi) + self._pad)
+                sj = self.ring.monomial(mono_div(lcm, mj) + self._pad)
                 s_poly = si * self.generic_generators[i] - sj * self.generic_generators[j]
                 residue = self.geo_reduce(s_poly)
                 eqs.extend(self._coefficients_on_standard(residue))
@@ -161,8 +152,8 @@ class GroebnerStratumChart:
         return out
 
     def __repr__(self):
-        stair = ", ".join(str(self.ring.monomial(self._embed(m)))
-                          for m in self.staircase)
+        geo_ring = PolyRing(self.geo_vars)
+        stair = ", ".join(str(geo_ring.monomial(m)) for m in self.staircase)
         return (f"<chart staircase=[{stair}] d={self.colength} "
                 f"params={len(self.param_names)} "
                 f"stratum_eqs={len(self.stratum_equations)}>")

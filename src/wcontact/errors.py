@@ -32,7 +32,9 @@ class Unsupported(WContactError):
 
 
 class UnknownVariable(WContactError):
-    pass
+    """A variable that the ring it must be read in does not have: a name
+    outside a ring's table, or a term that cannot map into a smaller ring,
+    such as a parameter term reduced in a local ideal's series ring."""
 
 
 class InfiniteColength(WContactError):
@@ -88,7 +90,9 @@ class SamplingFailed(WContactError):
 
 
 class PointNotOnScheme(WContactError):
-    pass
+    """A point at which some equation of the scheme does not vanish: a
+    tangent space asked for off the scheme, or a locus that does not pass
+    through the origin."""
 
 
 class JobError(WContactError):

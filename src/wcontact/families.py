@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import InconsistentResult, NotAUnit, NotWContact, WrongKind
-from .poly import Poly, PolyRing
+from .poly import Poly
 from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
                      truncate_poly, truncated_product,
                      weierstrass_prepare_x)
@@ -191,11 +191,6 @@ class StrataPreservingChange:
         u_coeff = Poly(ring, {e: c for e, c in x_only.terms.items() if e[xi] == 1})
         if u_coeff.subs(zero_params).is_zero():
             raise NotAUnit("u(0) = 0: X-image is not strata-preserving")
-
-    @classmethod
-    def identity(cls, ring: PolyRing, x: str = "x", y: str = "y"
-                 ) -> "StrataPreservingChange":
-        return cls(ring.var(x), ring.var(y), (), x, y)
 
 
 def apply_change(F: ContactFamily, phi: StrataPreservingChange,

@@ -320,7 +320,8 @@ class _Reducer:
 
 class GroebnerBasis:
     """A Groebner basis with its order; generators are primitive integer
-    polynomials with positive leading coefficient.  ``_reducer``, private,
+    polynomials with positive leading coefficient, read in the ring of the
+    first (``map_to``).  ``_reducer``, private,
     is the kernel already holding the generators as rows, in order, which
     ``gb_buchberger`` hands over; without it they are packed afresh."""
 
@@ -328,13 +329,14 @@ class GroebnerBasis:
 
     def __init__(self, generators: List[Poly], order: TermOrder,
                  _reducer: Optional[_Reducer] = None):
-        self.generators = generators
-        self.order = order
         self._ring = generators[0].ring if generators else None
+        self.generators = [g.map_to(self._ring) for g in generators]
+        self.order = order
         self._key = order.key_function(self._ring) if self._ring else None
         if _reducer is None and generators:
             _reducer = _Reducer(order, self._ring,
-                                [g.primitive_terms()[0] for g in generators])
+                                [g.primitive_terms()[0]
+                                 for g in self.generators])
         self._reducer = _reducer
         self._leads = self._reducer.exps if generators else []
 
@@ -381,18 +383,16 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
 def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
                   stop_at_unit: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of <gens> by Buchberger's algorithm: the
-    primitive integer rows of the nonzero generators go through
-    ``_buchberger``, and the reduced rows are decoded once, into the
-    ``Poly`` generators of a basis that keeps the kernel holding them."""
+    primitive integer rows of the nonzero generators, each read in the ring
+    of the first, go through ``_buchberger``, and the reduced rows are
+    decoded once, into the ``Poly`` generators of a basis that keeps the
+    kernel holding them."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generator list")
     ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
-    basis = _buchberger([g.primitive_terms()[0] for g in gens], order, ring,
-                        stop_at_unit)
+    basis = _buchberger([g.map_to(ring).primitive_terms()[0] for g in gens],
+                        order, ring, stop_at_unit)
     return GroebnerBasis([from_row(ring, basis.decode(r)) for r in basis.rows],
                          basis.code.order, basis)
 

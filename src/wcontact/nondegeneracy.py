@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import E0NotInIdeal, InconsistentResult
 from .families import ContactFamily, to_normal_form
 from .linalg import MatrixQ, echelon
-from .poly import Poly, poly_str
+from .poly import Poly
 from .series import (LocalIdeal, TruncatedSeries, _monomials_up_to,
                      series_invert, truncated_product)
 
@@ -55,13 +55,12 @@ def _quotient_matrix(columns: List[Poly], col_labels: List[str],
     """Assemble column classes into a matrix over the quotient basis of I."""
     I.certify()
     basis = I.quotient_basis
-    index = {I._restrict(b): i for i, b in enumerate(basis)}
+    index = {b: i for i, b in enumerate(basis)}
     rows = [[Fraction(0)] * len(columns) for _ in basis]
     for j, col in enumerate(columns):
         for e, c in I.reduce(col).items():
             rows[index[e]][j] = c
-    ring = I.ring
-    row_labels = [poly_str(Poly(ring, {b: Fraction(1)})) for b in basis]
+    row_labels = [str(I.ring.monomial(b)) for b in basis]
     return MatrixQ(rows, row_labels=row_labels, col_labels=col_labels)
 
 
@@ -130,7 +129,7 @@ def psi_map(F: ContactFamily, I: LocalIdeal) -> MatrixQ:
     labels = []
     for gi, g in enumerate(gens):
         for m in monos:
-            columns.append(Poly(I.ring, {I._unrestrict(m): Fraction(1)}) * g)
+            columns.append(I.ring.monomial(m) * g)
             labels.append(f"m{m}*g{gi + 1}")
     return _quotient_matrix(columns, labels, I)
 
@@ -147,12 +146,11 @@ class StarReport:
     blocks: List[PhiReport]
 
 
-def check_condition_star(contact_list: Sequence[Tuple[ContactFamily, LocalIdeal]],
-                         interior_list: Sequence[Tuple[ContactFamily, LocalIdeal]] = ()
+def check_condition_star(entries: Sequence[Tuple[ContactFamily, LocalIdeal]]
                          ) -> StarReport:
-    """Stack Phi blocks (contact entries) and Delta blocks (interior entries)
-    into one map T_0(Lambda) -> direct sum of the O/I_i and test surjectivity."""
-    entries = list(contact_list) + list(interior_list)
+    """Stack a Phi block for each contact entry and a Delta block for each
+    interior entry into one map T_0(Lambda) -> direct sum of the O/I_i and
+    test surjectivity."""
     params: Optional[Tuple[str, ...]] = None
     for F, _ in entries:
         if params is None:
@@ -162,8 +160,8 @@ def check_condition_star(contact_list: Sequence[Tuple[ContactFamily, LocalIdeal]
     if params is None:
         raise ValueError("no entries given")
 
-    blocks = [phi_map(F, I) for F, I in contact_list]
-    blocks += [delta_map(F, I) for F, I in interior_list]
+    blocks = [phi_map(F, I) if F.kind == "contact" else delta_map(F, I)
+              for F, I in entries]
     all_rows = []
     row_labels = []
     for bi, b in enumerate(blocks):
@@ -207,8 +205,7 @@ def check_relaxed_condition(F: ContactFamily, I: LocalIdeal) -> RelaxedReport:
     dim = phi.quotient_dimension
     surjective = stacked_rank == dim
 
-    enlarged = LocalIdeal(list(I.generators)
-                          + [g.map_to(I.ring) for g in psi_generators(F, I)],
+    enlarged = LocalIdeal(I.generators + psi_generators(F, I),
                           I.variables).certify()
     phi_onto_enlarged = (enlarged.colength == 0
                          or phi_map(F, enlarged).surjective)

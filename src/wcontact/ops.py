@@ -24,7 +24,7 @@ from .geometry import (AffineScheme, nested_singularity_report,
 from .groebner import gb_buchberger, normal_form
 from .nondegeneracy import (check_condition_star, check_relaxed_condition,
                             delta_map, phi_map, psi_map)
-from .poly import Poly, TermOrder, canonical_form
+from .poly import Poly, PolyRing, TermOrder, canonical_form
 from .series import (DEFAULT_TRUNCATION, LocalIdeal, delta_invariant,
                      milnor_number, tjurina_number)
 
@@ -186,9 +186,7 @@ def psi(family, ideal):
 
 @op("star", *IDEAL_ON)
 def star(family, ideal):
-    pair = [(family, _local(family, ideal))]
-    rep = (check_condition_star(pair) if family.kind == "contact"
-           else check_condition_star((), pair))
+    rep = check_condition_star([(family, _local(family, ideal))])
     return _fields(rep, "rank", "target_dimension", "parameter_dimension",
                    "surjective", "relative_dimension")
 
@@ -202,8 +200,8 @@ def relaxed(family, ideal):
 
 @op("chart", Arg("chart", "chart"), help="Groebner stratum chart")
 def chart(chart):
-    return {"staircase": [str(chart.ring.monomial(chart._embed(m)))
-                          for m in chart.staircase],
+    geo_ring = PolyRing(chart.geo_vars)
+    return {"staircase": [str(geo_ring.monomial(m)) for m in chart.staircase],
             "colength": chart.colength,
             "parameters": list(chart.param_names),
             "generic_generators": [str(g) for g in chart.generic_generators],

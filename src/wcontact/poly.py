@@ -127,12 +127,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.ring.index(name)
-        return max(e[i] for e in self.terms)
-
     def variables_used(self) -> Tuple[str, ...]:
         used = [False] * self.ring.nvars
         for e in self.terms:

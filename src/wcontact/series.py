@@ -228,29 +228,31 @@ def weierstrass_prepare_x(E: Poly, w: int, N: int = DEFAULT_TRUNCATION,
 
 class LocalIdeal:
     """An ideal of Q[[vars]] given by polynomial generators, with certified
-    colength and an exact reduction map onto a standard-monomial basis."""
+    colength and an exact reduction map onto a standard-monomial basis.
+
+    ``ring`` is the series ring ``PolyRing(variables)``: the quotient basis
+    and the keys of :meth:`reduce` are its exponent tuples.  Generators,
+    kept as given in ``generators``, and the arguments of :meth:`reduce`
+    may come from any rings whose terms use only series variables."""
 
     def __init__(self, generators: Sequence[Poly],
                  variables: Optional[Sequence[str]] = None):
         generators = [g for g in generators if not g.is_zero()]
         if not generators:
             raise Unsupported("no nonzero generators")
-        self.ring = generators[0].ring
-        for g in generators:
-            if g.ring != self.ring:
-                raise ValueError("generators in different rings")
-        self.variables = tuple(variables) if variables else self.ring.variables
-        self._idx = [self.ring.index(v) for v in self.variables]
+        self.variables = tuple(variables or generators[0].ring.variables)
+        self.ring = PolyRing(self.variables)  # the series ring
         for g in generators:
             extra = set(g.variables_used()) - set(self.variables)
             if extra:
                 raise Unsupported(
                     f"generator {g} involves non-series variables {sorted(extra)}")
         self.generators = list(generators)
+        self._gens = [g.map_to(self.ring) for g in generators]
         # Bezout: n general combinations of the generators, of degree <= d,
         # are a system of parameters of local multiplicity <= d^n, so a
         # finite colength l is at most d^n and m^l lies in the ideal
-        degree = max(g.total_degree() for g in generators)
+        degree = max(g.total_degree() for g in self._gens)
         self._bezout = degree ** len(self.variables)
         self.cap = min(self._bezout, TRUNCATION_CAP)  # the last order tried
         self.truncation: Optional[int] = None  # the order certified at
@@ -258,16 +260,6 @@ class LocalIdeal:
         self.quotient_basis: Optional[List[Exponents]] = None
         self._power_degree: Optional[int] = None  # j with m^j contained in I
         self._rewrite: Optional[Dict[Exponents, Dict[Exponents, Fraction]]] = None
-
-    # exponent tuples restricted to the series variables
-    def _restrict(self, e: Exponents) -> Exponents:
-        return tuple(e[i] for i in self._idx)
-
-    def _unrestrict(self, re: Exponents) -> Exponents:
-        full = [0] * self.ring.nvars
-        for i, k in zip(self._idx, re):
-            full[i] = k
-        return tuple(full)
 
     def certify(self) -> "LocalIdeal":
         """Certify finite colength, doubling the truncation order from 12 (or
@@ -302,8 +294,7 @@ class LocalIdeal:
         tried.  At N = d^n every degree 0..N keeps a non-pivot, which makes
         d^n + 1 of them.  Fewer leave the question open: False."""
         nv = len(self.variables)
-        grkey = TermOrder.degrevlex(self.variables).key_function(
-            PolyRing(self.variables))
+        grkey = TermOrder.degrevlex(self.variables).key_function(self.ring)
 
         def deg(e):
             return sum(e)
@@ -314,9 +305,7 @@ class LocalIdeal:
             return (-deg(e), grkey(e))
 
         # each generator's primitive integer row spans the same line
-        gens = [{self._restrict(e): c
-                 for e, c in g.primitive_terms()[0].items()}
-                for g in self.generators]
+        gens = [g.primitive_terms()[0] for g in self._gens]
 
         # span of the image of the ideal in Q[vars]/m^(N+1)
         monomials = _monomials_up_to(nv, N)
@@ -364,12 +353,14 @@ class LocalIdeal:
         basis.sort(key=grkey)
         self._power_degree = j
         self.colength = len(basis)
-        self.quotient_basis = [self._unrestrict(m) for m in basis]
+        self.quotient_basis = basis
         self._rewrite = rewrite
         return True
 
     def reduce(self, p: Poly) -> Dict[Exponents, Fraction]:
-        """Class of p in O/I as a vector over the quotient basis.
+        """Class of p in O/I as a vector over the quotient basis, keyed by
+        exponent tuples of the series ring; p may come from any ring whose
+        terms use only series variables (UnknownVariable otherwise).
 
         Exact for any polynomial, and for truncated series whose truncation
         order is at least the certified power degree minus one.
@@ -377,25 +368,18 @@ class LocalIdeal:
         self.certify()
         j = self._power_degree
         out: Dict[Exponents, Fraction] = {}
-        for e, c in p.terms.items():
-            re = self._restrict(e)
-            if self._restrict_complement_nonzero(e):
-                raise ValueError(f"term {e} involves non-series variables")
-            if sum(re) >= j:
+        for e, c in p.map_to(self.ring).terms.items():
+            if sum(e) >= j:
                 continue  # m^j lies in I
-            row = self._rewrite.get(re)
+            row = self._rewrite.get(e)
             if row is None:
-                out[re] = out.get(re, 0) + c
+                out[e] = out.get(e, 0) + c
             else:
                 for se, sc in row.items():
-                    if se == re:
+                    if se == e:
                         continue
                     out[se] = out.get(se, 0) - c * sc
         return {e: c for e, c in out.items() if c}
-
-    def _restrict_complement_nonzero(self, e: Exponents) -> bool:
-        marked = set(self._idx)
-        return any(k and i not in marked for i, k in enumerate(e))
 
     def contains(self, p: Poly) -> bool:
         return not self.reduce(p)

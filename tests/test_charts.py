@@ -19,6 +19,7 @@ from wcontact.errors import (InfiniteColength, SamplingFailed,
 from wcontact.families import ContactFamily, multiply_unit
 from wcontact.groebner import (_Reducer, gb_buchberger, normal_form,
                               standard_monomials)
+from wcontact.ops import OPS
 from wcontact.poly import Poly, PolyRing, TermOrder
 
 GEO = PolyRing(("x", "y"))
@@ -90,10 +91,31 @@ class TestChartConstruction:
                                                samples=2, seed=1)
         assert report.ok
         assert all(set(s.point) == set("ktlmno") for s in report.samples)
+        # so does one whose generators come from several rings
+        c = GroebnerStratumChart([GEO.parse("y"), ring.parse("x^2")], LEX_YX)
+        assert c.param_names == ("l", "m", "n", "o")
+
+    @pytest.mark.parametrize("stair", [("y", "x^2"), ("y^2", "x*y", "x^2")],
+                             ids=", ".join)
+    def test_staircase_from_several_rings(self, stair):
+        """Each staircase generator is read by its variable names, so one
+        written in (y, x) or with a parameter in its ring gives the chart a
+        single ring gives, down to the operation's report."""
+        rings = [PolyRing(("y", "x")), RST, GEO]
+        mixed = GroebnerStratumChart(
+            [rings[i % 3].parse(m) for i, m in enumerate(stair)], LEX_YX)
+        single = GroebnerStratumChart([GEO.parse(m) for m in stair], LEX_YX)
+        for attr in ("staircase", "standard_monomials", "param_names",
+                     "generic_generators", "stratum_equations"):
+            assert getattr(mixed, attr) == getattr(single, attr), attr
+        assert repr(mixed) == repr(single)
+        assert OPS["chart"].handler(mixed) == OPS["chart"].handler(single)
 
     def test_infinite_staircase_rejected(self):
         with pytest.raises(InfiniteColength):
             GroebnerStratumChart([GEO.parse("y")], LEX_YX)
+        with pytest.raises(InfiniteColength):
+            GroebnerStratumChart([], LEX_YX)
 
     def test_non_monomial_generator_rejected(self):
         with pytest.raises(UsageError):

@@ -110,7 +110,7 @@ class TestDistinguished:
         F = ContactFamily.contact(R2.parse("y*(y + x^5) + x^4"))
         D = to_distinguished(F, truncation=10)
         # f becomes an x-polynomial of degree < w = 4
-        assert D.f.degree_in("x") <= 3
+        assert all(e[R2.index("x")] <= 3 for e in D.f.terms)
         # and u * P is congruent to E
         from wcontact.series import weierstrass_prepare_x
         u, P = weierstrass_prepare_x(F.E, 4, 10, small=("y",))
@@ -148,7 +148,7 @@ class TestUnitMultiple:
 
 class TestChanges:
     def test_identity(self):
-        phi = StrataPreservingChange.identity(R2)
+        phi = StrataPreservingChange(R2.var("x"), R2.var("y"))
         F = ContactFamily.contact(R2.parse("y^2 + x^4"))
         assert apply_change(F, phi).E == F.E
 

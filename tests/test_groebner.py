@@ -94,6 +94,19 @@ class TestNormalForm:
             rhs = normal_form(p, G) * a + normal_form(q, G)
             assert lhs == rhs
 
+    def test_generators_from_several_rings(self):
+        """Each generator is read in the first one's ring by its variable
+        names: x*y^2 written in (y, x) leads with x*y^2, not x^2*y."""
+        G = GroebnerBasis([x**2, PolyRing(("y", "x")).parse("x*y^2")],
+                          LEX_YX)
+        assert G.leading_monomials() == [(2, 0), (1, 2)]
+        assert all(g.ring == R for g in G)
+        assert normal_form(x * y**2 + x**3 * y, G).is_zero()
+        assert normal_form(x**2 * y - y, G) == -y
+        assert gb_buchberger(G.generators, LEX_YX).generators == \
+            gb_buchberger([x**2, PolyRing(("y", "x")).parse("x*y^2")],
+                          LEX_YX).generators
+
     def test_no_term_divisible_by_lead(self):
         G = gb_buchberger([y**2 - x, x**2 - y], LEX_YX)
         leads = G.leading_monomials()

@@ -116,8 +116,7 @@ class TestStar:
         F = fam_st()
         G = ContactFamily.interior(RST.parse("y^2 + x^4 + s"), ("s",))
         with pytest.raises(ValueError):
-            check_condition_star([(F, ideal_yx2())],
-                                 [(G, ideal_yx2())])
+            check_condition_star([(F, ideal_yx2()), (G, ideal_yx2())])
 
     def test_no_entries(self):
         with pytest.raises(ValueError):
@@ -185,11 +184,11 @@ def _mult_operator_columns(I, factor):
     """Matrix of multiplication by `factor` on the quotient basis of I."""
     I.certify()
     basis = I.quotient_basis
-    index = {I._restrict(b): i for i, b in enumerate(basis)}
+    index = {b: i for i, b in enumerate(basis)}
     cols = []
     for b in basis:
         vec = [Fraction(0)] * len(basis)
-        prod = Poly(I.ring, {b: Fraction(1)}) * factor
+        prod = I.ring.monomial(b) * factor.map_to(I.ring)
         for e, c in I.reduce(prod).items():
             vec[index[e]] = c
         cols.append(vec)
@@ -239,3 +238,69 @@ class TestInvariance:
             report = check_condition_star([(G, I2)])
             assert report.surjective
             assert report.relative_dimension == 0
+
+
+FAMILY_RINGS = [("x", "y", "s", "t"), ("y", "x", "s", "t"),
+                ("s", "t", "x", "y")]
+IDEALS = [("y", "x^2"), ("y - x^2", "x^3"), ("y^2", "x*y", "x^2")]
+
+
+def _reports(ring, gens):
+    """Phi, Delta, Psi, (*) and relaxed reports of the codim-4 family,
+    written in ``ring``, on the ideal of ``gens`` written in (x, y)."""
+    F = ContactFamily.contact(
+        ring.parse("(y^2+x^4)+s*x*(y+x^3)+t*(y+x^4)"), ("s", "t"))
+    I = LocalIdeal([R2.parse(g) for g in gens], variables=("x", "y"))
+
+    def matrix(M):
+        return M.rows, M.row_labels, M.col_labels
+
+    star = check_condition_star([(F, I)])
+    return (matrix(phi_map(F, I).matrix), matrix(delta_map(F, I).matrix),
+            matrix(psi_map(F, I)),
+            {k: v for k, v in vars(star).items() if k != "blocks"},
+            [matrix(b.matrix) for b in star.blocks],
+            vars(check_relaxed_condition(F, I)))
+
+
+class TestRingIndependence:
+    """The reports read every polynomial by its variable names, never by
+    the index positions of its ring."""
+
+    @pytest.mark.parametrize("gens", IDEALS, ids=", ".join)
+    @pytest.mark.parametrize("variables", FAMILY_RINGS[1:], ids=",".join)
+    def test_family_ring_order_changes_no_report(self, variables, gens):
+        assert _reports(PolyRing(variables), gens) == \
+            _reports(PolyRing(FAMILY_RINGS[0]), gens)
+
+    def test_codim4_phi_in_a_reordered_ring(self):
+        F = ContactFamily.contact(
+            PolyRing(("y", "x", "s", "t")).parse(
+                "(y^2+x^4)+s*x*(y+x^3)+t*(y+x^4)"), ("s", "t"))
+        report = phi_map(F, ideal_yx2(R2))
+        assert report.matrix.rows == [[0, 1], [1, 0]]
+        assert report.matrix.row_labels == ["1", "x"]
+
+    def test_generators_from_several_rings(self):
+        I = LocalIdeal([PolyRing(("y", "x")).parse("y"), RST.parse("x^2")],
+                       variables=("x", "y"))
+        assert I.ring == R2
+        assert phi_map(fam_st(), I).matrix.rows == \
+            phi_map(fam_st(), ideal_yx2()).matrix.rows
+
+
+class TestStarEntries:
+    def test_each_entry_takes_the_block_of_its_kind(self):
+        """One list of entries: Phi for the contact family, Delta for the
+        interior one, stacked in the order given."""
+        F = fam_st()
+        G = ContactFamily.interior(RST.parse("y^2 + x^2 + s*x + t"),
+                                   ("s", "t"))
+        origin = LocalIdeal([RST.parse("x"), RST.parse("y")],
+                            variables=("x", "y"))
+        report = check_condition_star([(F, ideal_yx2()), (G, origin)])
+        assert [b.matrix.rows for b in report.blocks] == \
+            [phi_map(F, ideal_yx2()).matrix.rows,
+             delta_map(G, origin).matrix.rows]
+        assert report.target_dimension == 3
+        assert report.rank == 2 and not report.surjective

@@ -15,7 +15,8 @@ from sympy.polys.matrices import DomainMatrix
 import wcontact
 from wcontact.errors import (CertificationFailed, ContactOrderMismatch,
                              InconsistentBranchCount, InfiniteColength,
-                             NotAUnit, NotIsolated)
+                             NotAUnit, NotIsolated, UnknownVariable,
+                             Unsupported)
 from wcontact.poly import Poly, PolyRing
 from wcontact.series import (LocalIdeal, TruncatedSeries,
                              delta_invariant, local_colength, milnor_number,
@@ -188,7 +189,7 @@ class TestWeierstrass:
         # verify the product congruence, not the factors
         diff = u.body * P - E
         assert truncate_poly(diff, ("x", "y"), 10).is_zero()
-        assert P.degree_in("x") == 2
+        assert max(e[R.index("x")] for e in P.terms) == 2
 
     def test_wrong_contact_order(self):
         with pytest.raises(ContactOrderMismatch):
@@ -220,8 +221,8 @@ class TestWeierstrass:
             assert truncate_poly(diff, ("x", "y", "s"), N).is_zero()
             # P - x^w has x-degree below w and no constant-in-(y,s) part
             tail = P - xs**w
-            assert tail.degree_in("x") < w
-            yi, si = ring.index("y"), ring.index("s")
+            xi, yi, si = ring.index("x"), ring.index("y"), ring.index("s")
+            assert all(e[xi] < w for e in tail.terms)
             assert all(e[yi] or e[si] for e in tail.terms)
 
     def test_unit_defect_in_a_parameter_is_not_a_unit(self):
@@ -456,9 +457,55 @@ class TestColength:
             assert got == _dense_colength_oracle(gens)
 
 
+class TestSeriesRing:
+    """A local ideal works in its series ring: it reads generators and
+    arguments from any ring by variable name."""
+
+    XYS = PolyRing(("x", "y", "s"))
+    YX = PolyRing(("y", "x"))
+
+    def test_ring_is_the_series_ring(self):
+        I = LocalIdeal([self.XYS.parse("y - x^2"), self.XYS.parse("x^3")],
+                       ("x", "y")).certify()
+        assert I.ring == R
+        assert I.quotient_basis == [(0, 0), (1, 0), (2, 0)]
+        assert I.reduce(self.XYS.parse("y + x^4")) == {(2, 0): 1}
+
+    def test_arguments_from_a_reordered_ring(self):
+        I = LocalIdeal([y - x**2, x**3], ("x", "y")).certify()
+        for text in ("y", "x*y + 3", "y^2 + x - 1/2"):
+            assert I.reduce(self.YX.parse(text)) == I.reduce(R.parse(text))
+
+    def test_generators_from_several_rings(self):
+        I = LocalIdeal([self.YX.parse("y - x^2"), self.XYS.parse("x^3")],
+                       ("x", "y")).certify()
+        J = LocalIdeal([y - x**2, x**3], ("x", "y")).certify()
+        assert (I.colength, I.quotient_basis) == (3, J.quotient_basis)
+        assert I.reduce(y**2 + x) == J.reduce(y**2 + x)
+
+    def test_a_parameter_term_is_an_unknown_variable(self):
+        I = LocalIdeal([self.XYS.parse("y"), self.XYS.parse("x^2")],
+                       ("x", "y"))
+        with pytest.raises(UnknownVariable, match="'s'"):
+            I.reduce(self.XYS.parse("s*x"))
+        # a parameter with exponent zero is no term of it
+        assert I.reduce(self.XYS.parse("x + 2")) == {(1, 0): 1, (0, 0): 2}
+
+    def test_a_series_variable_no_generator_ring_has(self):
+        X = PolyRing(("x",))
+        assert local_colength([X.parse("x"), self.YX.parse("y^2")],
+                              ("x", "y")) == 2
+        with pytest.raises(InfiniteColength):
+            LocalIdeal([X.parse("x")], ("x", "y")).certify()
+
+    def test_a_non_series_generator_is_unsupported(self):
+        with pytest.raises(Unsupported):
+            LocalIdeal([self.XYS.parse("y - s"), self.XYS.parse("x^2")],
+                       ("x", "y"))
+
+
 def _reduced_poly(I, p):
-    """The class of p in O/I as a polynomial, for an ideal whose series
-    variables are all the variables of its ring."""
+    """The class of p in O/I as a polynomial of the series ring."""
     return Poly(I.ring, I.reduce(p))
 
 
