@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (InconsistentResult, NotAUnit, SamplingFailed,
                      UnknownVariable, Unsupported, UsageError, WrongKind)
 from .families import ContactFamily
-from .groebner import (GroebnerBasis, _buchberger, gb_buchberger, normal_form,
-                       staircase_complement)
+from .groebner import (GroebnerBasis, _Encoding, _buchberger, gb_buchberger,
+                       normal_form, staircase_complement)
 from .poly import (Exponents, Poly, PolyRing, Specialization, TermOrder,
                    mono_div, mono_divides, mono_lcm, mono_mul)
 
@@ -235,8 +235,11 @@ def an_surface(n: int, ring: Optional[PolyRing] = None) -> Poly:
         raise ValueError("n must be nonnegative")
     if ring is None:
         ring = PolyRing(("x", "y", "z"))
-    x, y, z = map(ring.var, ring.variables[:3])
-    return y * z + x ** (n + 1)
+    if ring.nvars < 3:
+        raise UsageError(f"{ring!r} has no third variable for z")
+    rest = (0,) * (ring.nvars - 3)
+    return Poly(ring, {(0, 1, 1) + rest: Fraction(1),
+                       (n + 1, 0, 0) + rest: Fraction(1)})
 
 
 # -- sampling-based verification of the lift correspondence ----------------
@@ -294,9 +297,10 @@ def verify_membership_equivalence(F: ContactFamily,
     g and the graph relation (f - z*g or z - E, formed once in the ring with
     z) are each compiled once per call into a ``Specialization`` for the
     names a point gives; at each point they evaluate to integer rows.  The
-    bases are ``_buchberger``'s kernels, and each membership is a zero
-    remainder of a kernel division.  An ideal whose generators involve no
-    free parameter gets one curve basis per call.
+    bases are ``_buchberger``'s kernels, all starting from the two
+    encodings (order and ring) built once per call, and each membership is
+    a zero remainder of a kernel division.  An ideal whose generators
+    involve no free parameter gets one curve basis per call.
 
     Both bases use the order of the package's charts on (x, y), lex y>x:
     the curve basis (and the invertibility check of g) under lex y>x, the
@@ -330,8 +334,8 @@ def verify_membership_equivalence(F: ContactFamily,
                     f"of the family or the ideal")
     geo_ring = PolyRing((F.x, F.y))
     z_ring = PolyRing((F.x, F.y, z_name))
-    geo_order = TermOrder.lex((F.y, F.x))
-    elim_order = TermOrder.lex((z_name, F.y, F.x))
+    geo_code = _Encoding(TermOrder.lex((F.y, F.x)), geo_ring)
+    elim_code = _Encoding(TermOrder.lex((z_name, F.y, F.x)), z_ring)
 
     graph_ring = F.E.ring.extend((z_name,))
     z = graph_ring.var(z_name)
@@ -384,18 +388,18 @@ def verify_membership_equivalence(F: ContactFamily,
                 rejected += 1
                 continue
             if any(map(any, g_row)):  # g is not constant: is it a unit?
-                inv_check = _buchberger(gens_rows + [g_row], geo_order,
-                                        geo_ring, stop_at_unit=True)
+                inv_check = _buchberger(gens_rows + [g_row], geo_code,
+                                        stop_at_unit=True)
                 if all(map(any, inv_check.exps)):  # no constant lead
                     rejected += 1
                     continue
         if curve is None or not fixed_curve:
-            curve = _buchberger(gens_rows, geo_order, geo_ring)
+            curve = _buchberger(gens_rows, geo_code)
             curve_rows = [curve.decode(r) for r in curve.rows]
         in_curve = curve.reduces_to_zero(E_row)
 
         lifted = [{e + (0,): c for e, c in r.items()} for r in gens_rows]
-        lex = _buchberger(lifted + [graph_plan(point)[0]], elim_order, z_ring)
+        lex = _buchberger(lifted + [graph_plan(point)[0]], elim_code)
         in_surface = lex.reduces_to_zero(target_row)
 
         low = [{e[:2]: c for e, c in lex.decode(r).items()}

@@ -165,8 +165,7 @@ class StrataPreservingChange:
     def __init__(self, x_image: Poly, y_image: Poly,
                  params: Sequence[str] = (), x: str = "x", y: str = "y"):
         ring = x_image.ring
-        if y_image.ring != ring:
-            raise ValueError("images live in different rings")
+        y_image = y_image.map_to(ring)
         self.x_image = x_image
         self.y_image = y_image
         self.x = x

@@ -28,10 +28,14 @@ each field from the one whose field the guard bits of (l | guard) - m
 select (``_Encoding.lcm``), and the leads are coprime iff that lcm is l + m.
 
 Most bases are tiny (membership sampling builds thousands in two or three
-variables), so the kernel keeps per-call work low: the divisor lookup is
-inlined in the division loop, and ``_buchberger`` reduces the tails of its
-basis in place, in the kernel that computed it, which is then the one it
-returns.
+variables), so the kernel keeps per-call work low and does none that cannot
+change an answer: the divisor lookup is inlined in the division loop; a
+caller that builds many bases shares one ``_Encoding`` between their kernels
+(a widening makes a new one and leaves it as it is); ``_buchberger`` reduces
+in place, in the kernel that computed the basis and then returns it, only
+the tails that a later, smaller lead can reach; and a membership test
+(``_Reducer.reduces_to_zero``) stops at the first irreducible term, whose
+coefficient no later subtraction can change.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import CertificationFailed, InfiniteColength
+from .errors import CertificationFailed, InfiniteColength, UsageError
 from .linalg import _primitive_row
 from .poly import (Exponents, Poly, PolyRing, Row, TermOrder, from_row,
                    mono_divides, mono_lcm)
@@ -63,7 +67,9 @@ class _Overflow(Exception):
 
 
 class _Encoding:
-    """Packed monomials with ``width`` value bits and a guard bit per field.
+    """Packed monomials with ``width`` value bits and a guard bit per field,
+    by default the most that lets n fields fill ``_START_BITS``; ``order``
+    is completed with the ring's variables (``TermOrder.for_ring``).
 
     ``pack`` is the dot product of the exponents with ``weights``, exact as
     long as every field fits in its value and guard bits.  A monomial *fits*
@@ -75,10 +81,13 @@ class _Encoding:
     __slots__ = ("order", "ring", "step", "width", "limit", "guard",
                  "weights", "shifts", "top", "diff")
 
-    def __init__(self, order: TermOrder, ring: PolyRing, width: int):
-        blocks = order.for_ring(ring).blocks
-        n, step = ring.nvars, width + 1
-        self.order = order
+    def __init__(self, order: TermOrder, ring: PolyRing,
+                 width: Optional[int] = None):
+        n = ring.nvars
+        if width is None:
+            width = max(_START_BITS // max(n, 1) - 1, 1)
+        step = width + 1
+        self.order = order.for_ring(ring)
         self.ring = ring
         self.step = step
         self.width = width
@@ -94,7 +103,7 @@ class _Encoding:
         self.diff = 0
         tops = []  # (max or sum, indices): the largest field of each block
         high = n  # the fields at and above ``high`` belong to earlier blocks
-        for kind, names in blocks:
+        for kind, names in self.order.blocks:
             idx = [ring.index(v) for v in names]
             low = high - len(idx)
             for j, i in enumerate(idx):
@@ -118,6 +127,8 @@ class _Encoding:
             (f(e[i] for i in idx) for f, idx in tops), default=0)
 
     def widened(self) -> "_Encoding":
+        """The same order and ring with fields twice as wide; ``self`` is
+        left as it is, for every kernel that shares it."""
         return _Encoding(self.order, self.ring, 2 * self.width)
 
     def pack(self, e: Exponents) -> int:
@@ -177,10 +188,8 @@ class _Reducer:
 
     __slots__ = ("code", "exps", "leads", "rows", "_divs", "_seen")
 
-    def __init__(self, order: TermOrder, ring: PolyRing,
-                 rows: Sequence[Row] = ()):
-        self.code = _Encoding(
-            order, ring, max(_START_BITS // max(ring.nvars, 1) - 1, 1))
+    def __init__(self, code: _Encoding, rows: Sequence[Row] = ()):
+        self.code = code
         self.exps: List[Exponents] = []  # the leads as exponent tuples
         self.leads: List[int] = []
         self.rows: List[Packed] = []
@@ -202,8 +211,13 @@ class _Reducer:
 
     def reduces_to_zero(self, row: Row) -> bool:
         """Does ``row`` leave a zero remainder?  For rows that form a
-        Groebner basis: does it lie in their ideal?"""
-        return not self.reduce(self.encode(row))[0]
+        Groebner basis: does it lie in their ideal?
+
+        The division stops at the first term it finds irreducible: every
+        later subtraction only makes monomials below that term, so its
+        coefficient is final and the remainder is not zero.
+        """
+        return not self.reduce(self.encode(row), stop=True)[0]
 
     def append(self, row: Packed) -> int:
         """Enter a nonzero row; returns its index."""
@@ -243,23 +257,25 @@ class _Reducer:
                 sp[m] = sp.get(m, 0) + scale * c
         return {m: c for m, c in sp.items() if c}
 
-    def reduce(self, row: Packed) -> Tuple[Packed, int]:
+    def reduce(self, row: Packed, stop: bool = False) -> Tuple[Packed, int]:
         """Full division of ``row``.
 
         Returns ``(r, m)`` with ``m != 0`` the product of the scalings, such
         that ``m * row - r`` lies in the ideal of the rows and no term of
         ``r`` is divisible by a lead; ``r / m`` is the exact remainder over Q.
-        ``r`` is in the encoding current at return.
+        ``r`` is in the encoding current at return.  With ``stop`` the
+        division ends at the first irreducible term, and ``r`` is that term
+        alone: nonzero exactly when the full remainder is.
         """
         if not self.rows:
             return row, 1
         while True:
             try:
-                return self._divide(row)
+                return self._divide(row, stop)
             except _Overflow:
                 row = self._widen(row)
 
-    def _divide(self, row: Packed) -> Tuple[Packed, int]:
+    def _divide(self, row: Packed, stop: bool) -> Tuple[Packed, int]:
         leads, rows, divs, seen = self.leads, self.rows, self._divs, self._seen
         guard, fields, n = self.code.guard, self.code.exponent_fields, len(divs)
         remaining = dict(row)
@@ -290,6 +306,8 @@ class _Reducer:
                 entry[1] = n
             if i < 0:
                 out[m] = (c, mult)  # rescaled by the later scalings at the end
+                if stop:
+                    break
                 continue
             lm, g = leads[i], rows[i]
             d = math.gcd(c, g[lm])
@@ -334,7 +352,7 @@ class GroebnerBasis:
         self.order = order
         self._key = order.key_function(self._ring) if self._ring else None
         if _reducer is None and generators:
-            _reducer = _Reducer(order, self._ring,
+            _reducer = _Reducer(_Encoding(order, self._ring),
                                 [g.primitive_terms()[0]
                                  for g in self.generators])
         self._reducer = _reducer
@@ -389,19 +407,20 @@ def gb_buchberger(gens: Sequence[Poly], order: TermOrder,
     kernel holding them."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        raise ValueError("empty generator list")
+        raise UsageError("empty generator list")
     ring = gens[0].ring
     basis = _buchberger([g.map_to(ring).primitive_terms()[0] for g in gens],
-                        order, ring, stop_at_unit)
+                        _Encoding(order, ring), stop_at_unit)
     return GroebnerBasis([from_row(ring, basis.decode(r)) for r in basis.rows],
                          basis.code.order, basis)
 
 
-def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
+def _buchberger(rows: Sequence[Row], code: _Encoding,
                 stop_at_unit: bool = False) -> _Reducer:
     """The reduced Groebner basis of the ideal of the nonzero primitive
-    integer rows over ``ring``, as a kernel holding its rows, primitive with
-    positive lead coefficients, in increasing lead order.
+    integer rows over ``code.ring`` under ``code.order``, as a kernel that
+    starts from ``code`` and holds its rows, primitive with positive lead
+    coefficients, in increasing lead order.
 
     The basis is kept as primitive integer rows: each row is divided by its
     integer content when it enters the basis.  S-polynomials and reductions
@@ -421,13 +440,16 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
     term order in every encoding.  With ``stop_at_unit`` the computation
     returns the basis {1} as soon as a constant enters the basis.
 
-    The final pass reduces the tail of each minimal-lead row in place, in
-    increasing lead order, then keeps only those rows: the kernel that ran
-    the algorithm is the one returned, so a widening during the pass
-    re-packs the rows already reduced along with all the others.
+    The final pass keeps the minimal-lead rows and reduces, in place and
+    in increasing lead order, the tail of each one that a kept row entered
+    after it with a smaller lead.  No other tail needs it: a row enters
+    reduced by every lead present then, a lead divides only monomials at or
+    above it, and a tail lies below its own lead, so only a later, smaller
+    lead can divide a tail term.  The kernel that ran the algorithm is the
+    one returned, so a widening during the pass re-packs the rows already
+    reduced along with all the others.
     """
-    order = order.for_ring(ring)
-    basis = _Reducer(order, ring)
+    basis = _Reducer(code)
     exps, divs = basis.exps, basis._divs
     sugars: List[int] = []
     active: List[int] = []  # the basis elements no newer lead divides
@@ -510,17 +532,24 @@ def _buchberger(rows: Sequence[Row], order: TermOrder, ring: PolyRing,
             unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:
-        return _Reducer(order, ring, [{(0,) * ring.nvars: 1}])
+        return _Reducer(code, [{(0,) * code.ring.nvars: 1}])
 
     # the active leads are minimal (no lead divides a monomial below it, so
-    # a row never reduces its own tail)
-    keep = sorted(active, key=basis.leads.__getitem__)
-    for g in keep:
+    # a row never reduces its own tail); a reverse scan of the rows in entry
+    # order finds those with a later, smaller lead
+    leads, stale, low = basis.leads, [], math.inf
+    for g in reversed(active):
+        if leads[g] > low:
+            stale.append(g)
+        else:
+            low = leads[g]
+    for g in sorted(stale, key=leads.__getitem__):
         tail = dict(basis.rows[g])
-        lc = tail.pop(basis.leads[g])
+        lc = tail.pop(leads[g])
         row, mult = basis.reduce(tail)
-        row[basis.leads[g]] = lc * mult  # read after reduce: it may re-encode
-        basis.rows[g] = _primitive_row(row, basis.leads[g])
+        row[leads[g]] = lc * mult  # read after reduce: it may re-encode
+        basis.rows[g] = _primitive_row(row, leads[g])
+    keep = sorted(active, key=leads.__getitem__)
     for seq in (basis.rows, basis.leads, basis.exps, basis._divs):
         seq[:] = [seq[g] for g in keep]
     basis._seen.clear()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import E0NotInIdeal, InconsistentResult
+from .errors import E0NotInIdeal, InconsistentResult, UsageError
 from .families import ContactFamily, to_normal_form
 from .linalg import MatrixQ, echelon
 from .poly import Poly
@@ -122,7 +122,12 @@ def psi_map(F: ContactFamily, I: LocalIdeal) -> MatrixQ:
     """Matrix whose column space is the image in O/I of the ideal generated
     by the three reparametrization generators."""
     _check_base_in_ideal(F, I)
-    gens = [g.map_to(I.ring) for g in psi_generators(F, I)]
+    return _psi_matrix(psi_generators(F, I), I)
+
+
+def _psi_matrix(psi_gens: List[Poly], I: LocalIdeal) -> MatrixQ:
+    """``psi_map`` on the generators ``psi_generators`` gave."""
+    gens = [g.map_to(I.ring) for g in psi_gens]
     j = I.min_series_order()
     monos = _monomials_up_to(len(I.variables), max(j - 1, 0))
     columns = []
@@ -156,9 +161,9 @@ def check_condition_star(entries: Sequence[Tuple[ContactFamily, LocalIdeal]]
         if params is None:
             params = F.params
         elif F.params != params:
-            raise ValueError("families do not share one parameter space")
+            raise UsageError("families do not share one parameter space")
     if params is None:
-        raise ValueError("no entries given")
+        raise UsageError("no entries given")
 
     blocks = [phi_map(F, I) if F.kind == "contact" else delta_map(F, I)
               for F, I in entries]
@@ -199,14 +204,13 @@ def check_relaxed_condition(F: ContactFamily, I: LocalIdeal) -> RelaxedReport:
     the enlarged ideal); InconsistentResult if the two verdicts disagree.
     """
     phi = phi_map(F, I)
-    psi = psi_map(F, I)
-    stacked = phi.matrix.hstack(psi)
+    psi_gens = psi_generators(F, I)
+    stacked = phi.matrix.hstack(_psi_matrix(psi_gens, I))
     stacked_rank = stacked.rank()
     dim = phi.quotient_dimension
     surjective = stacked_rank == dim
 
-    enlarged = LocalIdeal(I.generators + psi_generators(F, I),
-                          I.variables).certify()
+    enlarged = LocalIdeal(I.generators + psi_gens, I.variables).certify()
     phi_onto_enlarged = (enlarged.colength == 0
                          or phi_map(F, enlarged).surjective)
     if phi_onto_enlarged != surjective:

@@ -348,6 +348,11 @@ class TestLifts:
         assert str(an_surface(0)) == "y*z + x"
         with pytest.raises(ValueError):
             an_surface(-1)
+        # x, y and z are the first three variables, in any larger ring
+        ring = PolyRing(("x", "y", "z", "s"))
+        assert an_surface(2, ring) == ring.parse("y*z + x^3")
+        with pytest.raises(UsageError):
+            an_surface(2, PolyRing(("x", "y")))
 
 
 class TestVariableNames:
@@ -610,10 +615,10 @@ class TestOneLexBasis:
         real = charts._buchberger
         curve_bases = []
 
-        def counting(rows, order, ring, stop_at_unit=False):
-            if "z" not in ring.variables and not stop_at_unit:
+        def counting(rows, code, stop_at_unit=False):
+            if "z" not in code.ring.variables and not stop_at_unit:
                 curve_bases.append(rows)
-            return real(rows, order, ring, stop_at_unit=stop_at_unit)
+            return real(rows, code, stop_at_unit=stop_at_unit)
 
         monkeypatch.setattr(charts, "_buchberger", counting)
         report = verify_membership_equivalence(F, gens, samples=5, seed=9)
@@ -651,16 +656,16 @@ class TestOneLexBasis:
         # generates the elimination ideal, and the check must say so
         real = charts._buchberger
 
-        def tampered(rows, order, ring, **kw):
-            G = real(rows, order, ring, **kw)
-            if "z" not in ring.variables:
+        def tampered(rows, code, **kw):
+            G = real(rows, code, **kw)
+            if "z" not in code.ring.variables:
                 return G
-            zi = ring.index("z")
+            zi = code.ring.index("z")
             basis = [G.decode(r) for r in G.rows]
             low = [r for r in basis if all(e[zi] == 0 for e in r)]
             assert len(low) >= 2
             kept = [r for r in basis if r is not low[drop]]
-            return _Reducer(order, ring, kept)
+            return _Reducer(code, kept)
 
         monkeypatch.setattr(charts, "_buchberger", tampered)
         report = verify_membership_equivalence(
@@ -698,15 +703,15 @@ def _curve_kernels_miss_their_last_row(monkeypatch, drop=False):
     itself, which keeps the row count and shrinks the ideal."""
     real = charts._buchberger
 
-    def tampered(rows, order, ring, stop_at_unit=False):
-        G = real(rows, order, ring, stop_at_unit=stop_at_unit)
-        if "z" in ring.variables or stop_at_unit:
+    def tampered(rows, code, stop_at_unit=False):
+        G = real(rows, code, stop_at_unit=stop_at_unit)
+        if "z" in code.ring.variables or stop_at_unit:
             return G
         basis = [G.decode(r) for r in G.rows]
         last = basis.pop()
         if not drop:
             basis.append({(e[0] + 1, e[1]): c for e, c in last.items()})
-        return _Reducer(order, ring, basis)
+        return _Reducer(code, basis)
 
     monkeypatch.setattr(charts, "_buchberger", tampered)
 
@@ -737,9 +742,9 @@ class TestEqualReducedBases:
         real = charts._buchberger
         curve_leads = []
 
-        def recording(rows, order, ring, stop_at_unit=False):
-            G = real(rows, order, ring, stop_at_unit=stop_at_unit)
-            if "z" not in ring.variables and not stop_at_unit:
+        def recording(rows, code, stop_at_unit=False):
+            G = real(rows, code, stop_at_unit=stop_at_unit)
+            if "z" not in code.ring.variables and not stop_at_unit:
                 curve_leads.append(list(G.exps))
             return G
 
@@ -797,18 +802,18 @@ class TestEqualReducedBases:
         real = charts._buchberger
         events = []
 
-        def spying(rows, order, ring, stop_at_unit=False):
-            G = real(rows, order, ring, stop_at_unit=stop_at_unit)
+        def spying(rows, code, stop_at_unit=False):
+            G = real(rows, code, stop_at_unit=stop_at_unit)
             if stop_at_unit:
                 return G
-            if "z" in ring.variables:
+            if "z" in code.ring.variables:
                 events.append(("lift", G))
                 return G
             if rng.random() < 0.3:
                 basis = [G.decode(r) for r in G.rows]
                 basis[-1] = {(e[0] + 1, e[1]): c
                              for e, c in basis[-1].items()}
-                events.append(("tampered", _Reducer(order, ring, basis)))
+                events.append(("tampered", _Reducer(code, basis)))
             else:
                 events.append(("curve", G))
             return events[-1][1]

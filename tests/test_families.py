@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wcontact.errors import NotAUnit, NotWContact, WrongKind
+from wcontact.errors import NotAUnit, NotWContact, UnknownVariable, WrongKind
 from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, family_from_basis, multiply_unit,
                                to_distinguished, to_normal_form)
@@ -168,6 +168,18 @@ class TestChanges:
         assert G.w == 4
         assert G.at_base_point().subs({"y": 0}) == \
             truncate_poly(ring.parse("x^4"), ("x", "y"), 10)
+
+    def test_images_read_in_the_ring_of_the_x_image(self):
+        # y's image comes from a larger ring and is read in x's by name;
+        # one that uses a variable x's ring lacks is refused
+        phi = StrataPreservingChange(R2.var("x"), RST.parse("y + x*y"))
+        assert phi.y_image == R2.parse("y + x*y")
+        F = ContactFamily.contact(R2.parse("y^2 + x^4"))
+        assert apply_change(F, phi, truncation=10).E == apply_change(
+            F, StrataPreservingChange(R2.var("x"), R2.parse("y + x*y")),
+            truncation=10).E
+        with pytest.raises(UnknownVariable):
+            StrataPreservingChange(R2.var("x"), RST.parse("y + s*y"))
 
     def test_rejects_origin_moving(self):
         with pytest.raises(NotAUnit):

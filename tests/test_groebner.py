@@ -11,7 +11,7 @@ import sympy
 
 import wcontact
 from wcontact import groebner
-from wcontact.errors import CertificationFailed, InfiniteColength
+from wcontact.errors import CertificationFailed, InfiniteColength, UsageError
 from wcontact.groebner import (GroebnerBasis, _Encoding, gb_buchberger,
                                normal_form, radical_membership,
                                staircase_complement, standard_monomials)
@@ -62,6 +62,11 @@ class TestBuchberger:
         G = gb_buchberger([x, x - 1, y**5 - x * y],
                           LEX_YX, stop_at_unit=True)
         assert G.is_unit_ideal()
+
+    @pytest.mark.parametrize("gens", [[], [R.zero()]], ids=["none", "zero"])
+    def test_no_nonzero_generator_is_a_usage_error(self, gens):
+        with pytest.raises(UsageError):
+            gb_buchberger(gens, LEX_YX)
 
 
 class TestNormalForm:
@@ -426,7 +431,7 @@ class TestBlockOrders:
 
     @pytest.mark.parametrize("order", ORDERS, ids=map(repr, ORDERS))
     def test_an_exponent_past_a_field_widens(self, order):
-        reducer = groebner._Reducer(order, self.RING)
+        reducer = groebner._Reducer(_Encoding(order, self.RING))
         width = reducer.code.width
         e = (1, 2, 1 << width, 3, 0)
         packed = reducer.encode({e: 1, (0,) * 5: -1})
@@ -682,3 +687,96 @@ class TestPackedPairCriteria:
         monkeypatch.undo()
         _assert_matches_sympy(gens, order, [ring.parse(p) for p in probes])
         TestInputOrder._one_basis_for_every_order(gens, order)
+
+
+class TestFinalPass:
+    """The final pass reduces only the tails that a later, smaller lead can
+    reach, and the result is still the reduced basis."""
+
+    CORPUS = [(seed, nvars, kind) for seed in range(10) for nvars in (2, 3)
+              for kind in ("lex", "degrevlex")]
+
+    @pytest.mark.parametrize("seed,nvars,kind", CORPUS)
+    def test_no_tail_term_is_divisible_by_a_lead(self, seed, nvars, kind):
+        rng = random.Random(1000 + seed * 31 + nvars)
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        order = TermOrder(kind, rng.sample(ring.variables, nvars))
+        gens = []
+        while not gens:
+            gens = [g for g in (_random_rational_poly(rng, ring)
+                                for _ in range(rng.randint(2, 4))) if g]
+        G = gb_buchberger(gens, order)
+        leads = G.leading_monomials()
+        for g, lead in zip(G, leads):
+            for e in g.terms:
+                if e != lead:
+                    assert not any(mono_divides(lm, e) for lm in leads)
+        _assert_matches_sympy(gens, order, [])
+
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    def test_coprime_leads_make_no_final_pass_division(self, monkeypatch,
+                                                       kind):
+        # the leads z^2 < y^2 < x^2 are pairwise coprime, so no S-pair is
+        # formed, and each row enters with no later, smaller lead: the one
+        # division per input is the only one
+        ring = PolyRing(("x", "y", "z"))
+        gens = [ring.parse(g) for g in ("z^2 + z", "y^2 + z", "x^2 + y*z")]
+        divisions = []
+        reduce = groebner._Reducer.reduce
+
+        def recording(self, row):
+            divisions.append(row)
+            return reduce(self, row)
+
+        monkeypatch.setattr(groebner._Reducer, "reduce", recording)
+        G = gb_buchberger(gens, TermOrder(kind, ("x", "y", "z")))
+        assert len(divisions) == len(gens)
+        assert list(G) == gens
+
+
+class TestEarlyStop:
+    """``reduces_to_zero`` ends its division at the first irreducible term
+    and gives the verdict of the full division."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_full_division(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.choice((2, 3))
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        order = TermOrder(rng.choice(("lex", "degrevlex")),
+                          rng.sample(ring.variables, nvars))
+        gens = []
+        while not gens:
+            gens = [g for g in (_random_poly(rng, ring, 3, 2)
+                                for _ in range(2)) if not g.is_zero()]
+        kernel = groebner._buchberger(
+            [g.primitive_terms()[0] for g in gens], _Encoding(order, ring))
+        for _ in range(10):
+            # members of the ideal, perturbed or not
+            p = sum((_random_poly(rng, ring, 2, 2) * g for g in gens),
+                    ring.zero())
+            member = rng.random() < 0.5
+            if not member:
+                p = p + _random_poly(rng, ring, 2, 3)
+            if p.is_zero():
+                continue
+            row = p.primitive_terms()[0]
+            full = not kernel.reduce(kernel.encode(row))[0]
+            assert kernel.reduces_to_zero(row) == full
+            assert full or not member
+
+    def test_overflow_before_the_first_irreducible_term(self):
+        # y^2 + 1 by y - x^(2^28): y^2 -> y*x^(2^28) -> x^(2^29), one past
+        # the 29-bit fields of two variables, is popped before the
+        # irreducible term 1 and widens the kernel; x^(2^29) is irreducible
+        n = 1 << 28
+        code = _Encoding(LEX_YX, R)
+        assert code.limit == 2 * n - 1
+        kernel = groebner._buchberger([{(0, 1): 1, (n, 0): -1}], code)
+        assert kernel.code is code
+        assert not kernel.reduces_to_zero({(0, 2): 1, (0, 0): 1})
+        assert kernel.code.width > code.width == 29
+        assert kernel.reduces_to_zero({(0, 2): 1, (n, 1): -1})
+        assert kernel.reduce(kernel.encode({(0, 2): 1, (0, 0): 1}))[0]
+        assert normal_form(y**2 + 1, gb_buchberger([y - x**n], LEX_YX)) == \
+            x**(2 * n) + 1

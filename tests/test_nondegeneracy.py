@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from wcontact.errors import E0NotInIdeal
+from wcontact import nondegeneracy
+from wcontact.errors import E0NotInIdeal, UsageError
 from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, multiply_unit, to_normal_form)
 from wcontact.nondegeneracy import (check_condition_star,
@@ -115,11 +116,11 @@ class TestStar:
     def test_mixed_kinds_share_parameters(self):
         F = fam_st()
         G = ContactFamily.interior(RST.parse("y^2 + x^4 + s"), ("s",))
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             check_condition_star([(F, ideal_yx2()), (G, ideal_yx2())])
 
     def test_no_entries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             check_condition_star([])
 
 
@@ -135,6 +136,28 @@ class TestRelaxed:
         assert report.phi_rank == 0
         assert report.stacked_rank == 1
         assert report.quotient_dimension == 2
+
+    @pytest.mark.parametrize("extra", ["0", "x^5"], ids=["g0=1", "g0=1+x"])
+    def test_psi_generators_once_per_check(self, monkeypatch, extra):
+        # with g0 = 1 + x each call of psi_generators takes a normal form
+        F = ContactFamily.contact(
+            RST.parse(f"(y^2+x^4)+s*x*(y+x^3)+t*(y+x^4) + {extra}"),
+            ("s", "t"))
+        I = ideal_yx2()
+        calls = []
+        real = nondegeneracy.psi_generators
+
+        def counting(F, I):
+            calls.append(F)
+            return real(F, I)
+
+        monkeypatch.setattr(nondegeneracy, "psi_generators", counting)
+        report = check_relaxed_condition(F, I)
+        assert len(calls) == 1
+        assert report.surjective and report.phi_rank == 2
+        assert report.enlarged_quotient_dimension == \
+            LocalIdeal(I.generators + real(F, I),
+                       I.variables).certify().colength
 
 
 class TestDerivedOrders:
