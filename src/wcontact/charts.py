@@ -232,7 +232,7 @@ def an_surface(n: int, ring: Optional[PolyRing] = None) -> Poly:
     """The A_n surface singularity equation y*z + x^(n+1), with x, y and z
     the first three variables of ``ring`` (by default the ring in x, y, z)."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise UsageError("n must be nonnegative")
     if ring is None:
         ring = PolyRing(("x", "y", "z"))
     if ring.nvars < 3:
@@ -424,7 +424,7 @@ def ideal_equal_localized(a_gens: Sequence[Poly], b_gens: Sequence[Poly],
     exactly when the ideals are."""
     ring = a_gens[0].ring
     if unit.constant_term() == 0:
-        raise ValueError("localizing element has zero constant term")
+        raise NotAUnit("localizing element has zero constant term")
     tname = ring.fresh("T_loc")
     ext = ring.extend((tname,))
     rel = ext.var(tname) * unit.map_to(ext) - 1
@@ -528,22 +528,16 @@ def substitute_with_denominator(p: Poly, assignments: Dict[str, Poly],
     """Substitute var -> numerator/unit and clear denominators.
 
     Returns unit^J * p(substituted), where J is the maximal total degree of
-    p in the substituted variables.
-    """
-    ring = unit.ring
-    idx = {p.ring.index(n): num for n, num in assignments.items()}
-    J = max((sum(e[i] for i in idx) for e in p.terms), default=0)
-    out = ring.zero()
-    for e, c in p.terms.items():
-        a = sum(e[i] for i in idx)
-        term = ring.const(c) * unit ** (J - a)
-        rest = [0] * p.ring.nvars
-        for i, k in enumerate(e):
-            if i in idx:
-                if k:
-                    term = term * idx[i] ** k
-            else:
-                rest[i] = k
-        term = term * Poly(p.ring, {tuple(rest): Fraction(1)}).map_to(ring)
-        out = out + term
-    return out
+    p in the substituted variables: p is made homogeneous of degree J in
+    them with a fresh variable W, and W -> unit is substituted with the
+    numerators.  The result lives in ``unit.ring``."""
+    ring = unit.ring.extend(p.ring.variables)
+    W = ring.fresh("W")
+    ring = ring.extend((W,))
+    q = p.map_to(ring)
+    idx = [ring.index(n) for n in assignments]
+    degrees = [sum(e[i] for i in idx) for e in q.terms]
+    J = max(degrees, default=0)
+    homogeneous = Poly(ring, {e[:-1] + (J - a,): c
+                              for (e, c), a in zip(q.terms.items(), degrees)})
+    return homogeneous.subs({**assignments, W: unit}).map_to(unit.ring)

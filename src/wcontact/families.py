@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import InconsistentResult, NotAUnit, NotWContact, WrongKind
+from .errors import (InconsistentResult, NotAUnit, NotWContact, UsageError,
+                     WrongKind)
 from .poly import Poly
 from .series import (DEFAULT_TRUNCATION, TruncatedSeries, series_invert,
                      truncate_poly, truncated_product,
@@ -27,7 +28,7 @@ class ContactFamily:
                  x: str = "x", y: str = "y",
                  expected_w: Optional[int] = None):
         if kind not in ("contact", "interior"):
-            raise ValueError(f"unknown kind {kind!r}")
+            raise UsageError(f"unknown kind {kind!r}")
         self.E = E
         self.kind = kind
         self.params = tuple(params)

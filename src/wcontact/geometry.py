@@ -9,7 +9,8 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import CertificationFailed, PointNotOnScheme, UnknownVariable
+from .errors import (CertificationFailed, PointNotOnScheme, UnknownVariable,
+                     UsageError)
 from .groebner import TermOrder, gb_buchberger, normal_form, radical_membership
 from .linalg import MatrixQ
 from .poly import Poly, PolyRing
@@ -26,7 +27,7 @@ class AffineScheme:
         self.ring = PolyRing(self.variables)
         self.equations = [q.map_to(self.ring) for q in equations]
         if any(q.is_zero() for q in self.equations):
-            raise ValueError("zero equation in scheme definition")
+            raise UsageError("zero equation in scheme definition")
         self.expected_codim = expected_codim
 
     @property
@@ -55,7 +56,7 @@ def singular_locus_ideal(S: AffineScheme) -> List[Poly]:
     c being the expected codimension."""
     c = S.expected_codim
     if c is None:
-        raise ValueError("singular locus needs the expected codimension")
+        raise UsageError("singular locus needs the expected codimension")
     jac = S.jacobian()
     gens = list(S.equations)
     for rows in combinations(range(len(S.equations)), c):
@@ -229,12 +230,11 @@ def _grid(m: int, bound: int):
 
 def _restrict(p: Poly, i: int, d: int, rest: List[int], point) -> List[Fraction]:
     """The coefficients of v^0 .. v^d in p(v, point), v being variable i."""
+    names = p.ring.variables
+    line = p.subs({names[j]: x for j, x in zip(rest, point)})
     coeffs = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        for j, x in zip(rest, point):
-            if e[j]:
-                c *= x ** e[j]
-        coeffs[e[i]] += c
+    for e, c in line.terms.items():
+        coeffs[e[i]] = c
     return coeffs
 
 
@@ -308,10 +308,8 @@ def nested_singularity_report(S: AffineScheme,
     for a residual hypersurface, the rank of its quadratic part (an A_1 check)."""
     ring = S.ring
     gens = [g.map_to(ring) for g in locus_gens]
-    origin = {v: Fraction(0) for v in S.variables}
-    for g in gens:
-        if g.eval(origin) != 0:
-            raise PointNotOnScheme("the locus does not pass through the origin")
+    if any(g.constant_term() for g in gens):
+        raise PointNotOnScheme("the locus does not pass through the origin")
 
     eliminated: Dict[str, str] = {}
     work = list(gens)

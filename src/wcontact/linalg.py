@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
+from .errors import UsageError
+
 
 def _primitive_row(row: Dict, lead) -> Dict:
     """Divide the integer row in place by its content, signed so that the
@@ -109,13 +111,13 @@ class MatrixQ:
         self.ncols = len(self.rows[0]) if self.rows else 0
         for r in self.rows:
             if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
+                raise UsageError("ragged matrix")
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
 
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
+            raise UsageError("row count mismatch")
         return MatrixQ([self.rows[i] + other.rows[i] for i in range(self.nrows)],
                        row_labels=self.row_labels)
 

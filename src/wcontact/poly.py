@@ -238,30 +238,22 @@ class Poly:
         return Poly(ring, terms)
 
     def subs(self, assignments: Dict[str, "Poly | int | Fraction"]) -> "Poly":
-        """Substitute polynomials (or constants) for variables.
+        """Substitute constants or polynomials for variables, all at once, in
+        one pass over the terms; each power of a value is formed once.
 
-        The constants fold into the coefficients (``specialize``); a
-        polynomial product is formed only for the variables assigned a Poly."""
+        A constant folds into the coefficient, so a zero drops every term it
+        touches.  A polynomial value is read in this ring by variable name
+        (``map_to``: UnknownVariable when it does not fit) and multiplies
+        the rest of the term.  Terms come in the order of their first nonzero
+        contribution."""
         ring = self.ring
-        consts: Dict[str, "int | Fraction"] = {}
-        values: Dict[int, Poly] = {}
-        for name, val in assignments.items():
-            i = ring.index(name)
-            if not isinstance(val, Poly):
-                consts[name] = val
-            elif val.ring != ring:
-                raise ValueError("substitution value lives in a different ring")
-            else:
-                values[i] = val
-        p = self.specialize(consts, ring) if consts else self
-        if not values:
-            return p
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
+        values = [(ring.index(name), v.map_to(ring) if isinstance(v, Poly)
+                   else Fraction(v)) for name, v in assignments.items()]
+        pow_cache: Dict[Tuple[int, int], "Fraction | Poly"] = {}
         terms: Dict[Exponents, Fraction] = {}
-        for e, c in p.terms.items():
-            rest = list(e)
-            factor = None
-            for i, v in values.items():
+        for e, c in self.terms.items():
+            rest, factor = list(e), None
+            for i, v in values:
                 k = e[i]
                 if not k:
                     continue
@@ -269,7 +261,12 @@ class Poly:
                 q = pow_cache.get((i, k))
                 if q is None:
                     q = pow_cache[i, k] = v ** k
-                factor = q if factor is None else factor * q
+                if isinstance(q, Poly):
+                    factor = q if factor is None else factor * q
+                else:
+                    c *= q
+            if not c:
+                continue
             rest = tuple(rest)
             if factor is None:
                 terms[rest] = terms.get(rest, 0) + c
@@ -279,37 +276,12 @@ class Poly:
                 terms[ne] = terms.get(ne, 0) + c * fc
         return Poly(ring, {e: c for e, c in terms.items() if c})
 
-    def specialize(self, point: Dict[str, "int | Fraction"],
-                   ring: PolyRing) -> "Poly":
-        """Substitute the constants of ``point`` for the variables of this
-        ring that it names, and write each term straight into ``ring``.
-
-        Names that are not variables of this ring are ignored.  A variable
-        that survives the substitution must be one of ``ring``'s, or
-        UnknownVariable is raised, as by ``map_to``.  The work is done by a
-        ``Specialization``, compiled and evaluated once."""
-        live = self
-        zeros = [i for i, v in enumerate(self.ring.variables)
-                 if v in point and point[v] == 0]
-        if zeros:  # terms that a zero takes to 0 need no compiling
-            live = Poly(self.ring, {e: c for e, c in self.terms.items()
-                                    if not any([e[i] for i in zeros])})
-        return from_row(ring, *Specialization(live, point, ring)(point))
-
     def eval(self, point: Dict[str, "int | Fraction"]) -> Fraction:
         """Evaluate at a rational point assigning every used variable."""
-        out = Fraction(0)
-        idx = {self.ring.index(n): Fraction(v) for n, v in point.items()}
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    if i not in idx:
-                        raise UnknownVariable(
-                            f"no value for {self.ring.variables[i]!r}")
-                    v *= idx[i] ** k
-            out += v
-        return out
+        for v in self.variables_used():
+            if v not in point:
+                raise UnknownVariable(f"no value for {v!r}")
+        return self.subs(point).constant_term()
 
     def partial(self, name: str) -> "Poly":
         i = self.ring.index(name)
@@ -396,7 +368,10 @@ def row_product(a: Row, b: Sequence[Tuple[Exponents, int]],
 class Specialization:
     """A polynomial p compiled for substituting constants for the variables
     of its ring that ``names`` holds and writing the result into ``ring``;
-    calling it at a point specialises p there on integers alone.
+    calling it at a point specialises p there on integers alone.  It is the
+    compiled path for one polynomial at many points, as the sampling of
+    ``verify_membership_equivalence`` needs; ``Poly.subs`` is the path for
+    one substitution.
 
     Each term keeps its coefficient c in the primitive form of p, its
     exponents k_i in the substituted variables and its exponents in

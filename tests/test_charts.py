@@ -13,7 +13,7 @@ from wcontact.charts import (GroebnerStratumChart, an_surface,
                              relative_hilb_equations,
                              substitute_with_denominator,
                              verify_membership_equivalence)
-from wcontact.errors import (InfiniteColength, SamplingFailed,
+from wcontact.errors import (InfiniteColength, NotAUnit, SamplingFailed,
                              UnknownVariable, Unsupported, UsageError,
                              WrongKind)
 from wcontact.families import ContactFamily, multiply_unit
@@ -44,8 +44,8 @@ def chart_m2():
 
 def specialize(c, point):
     """The chart's generators at a rational chart point, in x, y."""
-    return [g.specialize(point, PolyRing(c.geo_vars))
-            for g in c.generic_generators]
+    return [g.subs({v: point[v] for v in g.ring.variables if v in point})
+            .map_to(PolyRing(c.geo_vars)) for g in c.generic_generators]
 
 
 class TestChartConstruction:
@@ -346,7 +346,7 @@ class TestLifts:
     def test_an_surface(self):
         assert str(an_surface(3)) == "x^4 + y*z"
         assert str(an_surface(0)) == "y*z + x"
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             an_surface(-1)
         # x, y and z are the first three variables, in any larger ring
         ring = PolyRing(("x", "y", "z", "s"))
@@ -854,7 +854,7 @@ class TestLocalizedEquality:
         assert not ideal_equal_localized(a, b, GEO.parse("1 + x"))
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAUnit):
             ideal_equal_localized([GEO.parse("y")], [GEO.parse("y")],
                                   GEO.parse("x"))
 
@@ -868,6 +868,21 @@ class TestSubstituteWithDenominator:
             p, {"sp_": ring.var("x"), "tp_": ring.var("y")}, unit)
         # J = 2: sp_^2 -> x^2 * unit^0, tp_ -> y * unit^1
         assert out == ring.parse("x^2 + y*(1 + x)")
+
+    def test_unit_ring_has_a_variable_p_lacks(self):
+        P = PolyRing(("sp_", "tp_", "x"))
+        U = PolyRing(("x", "y", "k"))
+        p = P.parse("sp_^2*x + tp_ + x")
+        out = substitute_with_denominator(
+            p, {"sp_": U.var("y"), "tp_": U.var("k")}, U.parse("1 + k*y"))
+        # J = 2: sp_^2*x -> y^2*x, tp_ -> k * unit, x -> x * unit^2
+        assert out.ring == U
+        assert out == U.parse("y^2*x + k*(1 + k*y) + x*(1 + k*y)^2")
+        # a surviving variable of p must be one of the unit's
+        with pytest.raises(UnknownVariable):
+            substitute_with_denominator(P.parse("sp_ + x"),
+                                        {"sp_": U.var("y")},
+                                        PolyRing(("y",)).one())
 
     def test_no_substituted_variables(self):
         ring = PolyRing(("x", "sp_"))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from wcontact.errors import NotAUnit, NotWContact, UnknownVariable, WrongKind
+from wcontact.errors import (NotAUnit, NotWContact, UnknownVariable,
+                             UsageError, WrongKind)
 from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, family_from_basis, multiply_unit,
                                to_distinguished, to_normal_form)
@@ -60,6 +61,10 @@ class TestDecomposition:
     def test_undeclared_variable(self):
         with pytest.raises(NotWContact):
             ContactFamily.contact(RST.parse("y^2 + x^4 + s*y"))
+
+    def test_unknown_kind(self):
+        with pytest.raises(UsageError, match="unknown kind 'boundary'"):
+            ContactFamily(R2.parse("y^2 + x^3"), (), "boundary")
 
     def test_interior_kind_guard(self):
         F = ContactFamily.interior(R2.parse("x^2 + y^2 - x"))

@@ -10,7 +10,7 @@ import sympy
 
 from wcontact import geometry, groebner
 from wcontact.errors import (CertificationFailed, PointNotOnScheme,
-                             UnknownVariable)
+                             UnknownVariable, UsageError)
 from wcontact.geometry import (AffineScheme, has_linear_factor,
                                nested_singularity_report,
                                singular_locus_ideal, tangent_space_dim,
@@ -58,7 +58,7 @@ class TestAffineScheme:
         assert J.rows == [[6, -1]]
 
     def test_zero_equation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             AffineScheme(("x", "y"), [R2.zero()])
 
 
@@ -82,7 +82,7 @@ class TestSingularLocus:
 
     def test_codim_required(self):
         S = AffineScheme(("x", "y"), [R2.parse("x*y")])
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             singular_locus_ideal(S)
 
     def test_chart_basis_forms_202_s_polynomials(self, monkeypatch):
@@ -271,6 +271,39 @@ def _random_poly(rng, span, degree, nterms):
             e[R4.index(rng.choice(span))] += 1
         terms[tuple(e)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return Poly(R4, {e: c for e, c in terms.items() if c})
+
+
+def _restrict_oracle(p, i, d, rest, point):
+    """``geometry._restrict`` as it was written before it became a call of
+    ``Poly.subs``: one product per variable of ``rest`` in each term."""
+    coeffs = [Fraction(0)] * (d + 1)
+    for e, c in p.terms.items():
+        for j, x in zip(rest, point):
+            if e[j]:
+                c *= x ** e[j]
+        coeffs[e[i]] += c
+    return coeffs
+
+
+class TestRestrict:
+    def test_matches_the_term_loop(self):
+        rng = random.Random(7070)
+        vanished = 0
+        for _ in range(300):
+            span = tuple(rng.sample("xyzw", rng.randint(1, 4)))
+            p = _random_poly(rng, span, 4, rng.randint(0, 8))
+            idx = [R4.index(v) for v in span]
+            i = rng.choice(idx)
+            rest = [j for j in idx if j != i]
+            d = max((e[i] for e in p.terms), default=0)
+            point = tuple(rng.choice((rng.randint(-3, 5), Fraction(
+                rng.randint(-3, 3), rng.randint(1, 3)))) for _ in rest)
+            got = geometry._restrict(p, i, d, rest, point)
+            want = _restrict_oracle(p, i, d, rest, point)
+            assert got == want, (p, i, point)
+            assert all(type(c) is Fraction for c in got)
+            vanished += p.is_zero() or not got[d]
+        assert 20 < vanished < 280
 
 
 class TestLinearFactorAgainstSympy:

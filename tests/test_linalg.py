@@ -4,8 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from wcontact.errors import UsageError
 from wcontact.linalg import MatrixQ, echelon
 from wcontact.nondegeneracy import PhiReport
 from wcontact.poly import PolyRing, TermOrder
@@ -34,6 +36,12 @@ class TestBasics:
         N = M.hstack(MatrixQ([[5], [6]]))
         assert N.ncols == 3 and N.rows[0] == [1, 2, 5]
         assert N.row_labels == ["a", "b"]
+        with pytest.raises(UsageError, match="row count mismatch"):
+            M.hstack(MatrixQ([[5]]))
+
+    def test_ragged_rows(self):
+        with pytest.raises(UsageError, match="ragged matrix"):
+            MatrixQ([[1, 2], [3]])
 
 
 def _sympy_rank(rows):

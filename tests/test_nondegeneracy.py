@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wcontact import nondegeneracy
+from wcontact import nondegeneracy, poly
 from wcontact.errors import E0NotInIdeal, UsageError
 from wcontact.families import (ContactFamily, StrataPreservingChange,
                                apply_change, multiply_unit, to_normal_form)
@@ -40,6 +40,23 @@ class TestPhi:
         assert report.matrix.row_labels == ["1", "x"]
         assert report.matrix.rows == [[0, 1], [1, 0]]
         assert report.rank == 2 and report.surjective
+
+    def test_projections_compile_no_specialization(self, monkeypatch):
+        """Setting the parameters to 0 is a term filter of ``Poly.subs``:
+        building the codim-4 family, its base point and its Phi map on
+        <y, x^2> compiles no ``Specialization``."""
+        built = []
+        compile_ = poly.Specialization.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            compile_(self, *args)
+
+        monkeypatch.setattr(poly.Specialization, "__init__", counted)
+        F = fam_st()
+        assert F.at_base_point() == RST.parse("y^2 + x^4")
+        assert phi_map(F, ideal_yx2()).rank == 2
+        assert built == []
 
     def test_parameterless_rank_zero(self):
         F = ContactFamily.contact(R2.parse("y*x + x^2"))

@@ -44,6 +44,28 @@ class TestArithmetic:
     def test_eval(self):
         p = x**2 + 2 * y
         assert p.eval({"x": Fraction(1, 2), "y": 1}) == Fraction(9, 4)
+        with pytest.raises(UnknownVariable, match="no value for 'y'"):
+            p.eval({"x": 1})
+        assert (x**2).eval({"x": 3}) == 9     # y is not used
+
+    def test_eval_matches_the_term_loop(self):
+        rng = random.Random(3131)
+        ring = PolyRing(("x", "y", "s", "t"))
+        missing = 0
+        for _ in range(300):
+            p = random_poly(rng, ring, max_terms=7, max_deg=3)
+            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for v in ring.variables if rng.random() < 0.9}
+            try:
+                want = eval_oracle(p, point)
+            except UnknownVariable:
+                missing += 1
+                with pytest.raises(UnknownVariable, match="no value for"):
+                    p.eval(point)
+                continue
+            got = p.eval(point)
+            assert got == want and type(got) is Fraction, (p, point)
+        assert 30 < missing < 270
 
     def test_partial(self):
         assert (x**3 * y).partial("x") == 3 * x**2 * y
@@ -305,6 +327,23 @@ class TestAlgebraProperties:
         assert R.parse(poly_str(p)) == p
 
 
+def eval_oracle(p, point):
+    """``Poly.eval`` as it was written before it became a call of ``subs``:
+    one product per used variable of each term."""
+    out = Fraction(0)
+    idx = {p.ring.index(n): Fraction(v) for n, v in point.items()}
+    for e, c in p.terms.items():
+        v = c
+        for i, k in enumerate(e):
+            if k:
+                if i not in idx:
+                    raise UnknownVariable(
+                        f"no value for {p.ring.variables[i]!r}")
+                v *= idx[i] ** k
+        out += v
+    return out
+
+
 def subs_oracle(p, assignments):
     """Term-by-term substitution through Poly products, one per factor."""
     ring = p.ring
@@ -351,8 +390,15 @@ class TestSubstitution:
             p = self.random_poly(rng, rng.randint(0, 8))
             chosen = rng.sample(names, rng.randint(0, len(names)))
             assignments = {n: self.random_value(rng, n) for n in chosen}
+            want = subs_oracle(p, assignments)
+            # a value is read by variable name: the same value written in
+            # a ring of its own variables, in reverse order, gives the same
+            for n, v in assignments.items():
+                if isinstance(v, Poly) and rng.random() < 0.5:
+                    assignments[n] = v.map_to(
+                        PolyRing(reversed(v.variables_used())))
             got = p.subs(assignments)
-            assert got == subs_oracle(p, assignments), (p, assignments)
+            assert got == want, (p, assignments)
             assert all(got.terms.values())
 
     def test_constants_zeros_and_unused_variables(self):
@@ -364,16 +410,30 @@ class TestSubstitution:
         assert q.subs({}) == q
 
     def test_value_from_another_ring_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownVariable):
             (x + y).subs({"x": PolyRing(("x", "y", "z")).var("z")})
         with pytest.raises(UnknownVariable):
             (x + y).subs({"z": 1})
 
+    def test_value_read_by_name(self):
+        RST = PolyRing(("x", "y", "s", "t"))
+        assert R.parse("y").subs({"y": RST.var("y")}) == R.var("y")
+        assert (x + y).subs({"x": RST.parse("y + 2")}) == 2 * y + 2
+
+
+def subs_into(p, point, ring):
+    """The constants of ``point`` substituted for the variables of p's ring
+    that it names, and the result read into ``ring``; names that are not
+    variables of p's ring are ignored."""
+    return p.subs({v: c for v, c in point.items() if v in p.ring.variables}
+                  ).map_to(ring)
+
 
 class TestSpecialize:
-    """``specialize`` against the chain it replaces: widen to a ring that
-    holds every name, substitute term by term (``subs_oracle``), map into
-    the target ring."""
+    """``subs`` of constants, read into a target ring (``subs_into``),
+    against the chain of Poly products: widen to a ring that holds every
+    name, substitute term by term (``subs_oracle``), map into the target
+    ring."""
 
     R4 = TestSubstitution.R4
 
@@ -395,9 +455,9 @@ class TestSpecialize:
             except UnknownVariable:
                 raised += 1
                 with pytest.raises(UnknownVariable):
-                    p.specialize(point, target)
+                    subs_into(p, point, target)
                 continue
-            got = p.specialize(point, target)
+            got = subs_into(p, point, target)
             assert got.ring == target
             assert got == want, (p, point, target)
             assert all(got.terms.values())
@@ -406,24 +466,24 @@ class TestSpecialize:
     def test_surviving_variable_outside_the_target_raises(self):
         p = self.R4.parse("x*s + y")
         with pytest.raises(UnknownVariable):
-            p.specialize({"s": 2}, PolyRing(("y",)))
-        assert p.specialize({"s": 0}, PolyRing(("y",))) \
+            subs_into(p, {"s": 2}, PolyRing(("y",)))
+        assert subs_into(p, {"s": 0}, PolyRing(("y",))) \
             == PolyRing(("y",)).var("y")
 
     def test_folds_to_zero(self):
         p = self.R4.parse("x*s - x*t + y*s - y")
         target = PolyRing(("y", "x"))
-        got = p.specialize({"s": 1, "t": 1}, target)
+        got = subs_into(p, {"s": 1, "t": 1}, target)
         assert got.is_zero() and got.ring == target
         # x and y survive only in terms that cancel, so the target may
         # lack them
-        assert p.specialize({"s": 1, "t": 1}, PolyRing(("u",))).is_zero()
+        assert subs_into(p, {"s": 1, "t": 1}, PolyRing(("u",))).is_zero()
 
 
 def fraction_specialize(p, point, ring):
-    """``Poly.specialize`` as it was written on ``Fraction`` coefficients,
-    one product per substituted variable of each term: the oracle of the
-    integer-row ``Specialization``."""
+    """Constants substituted on ``Fraction`` coefficients and written into
+    ``ring``, one product per substituted variable of each term: the oracle
+    of the integer-row ``Specialization`` and of ``subs_into``."""
     values, moves = [], []  # moves: (index in p, index in ring or -1)
     for i, v in enumerate(p.ring.variables):
         if v in point:
@@ -457,8 +517,9 @@ def fraction_specialize(p, point, ring):
 
 
 class TestSpecializationOracle:
-    """The integer-row ``Specialization`` (and ``Poly.specialize`` on it)
-    against ``fraction_specialize``, coefficient for coefficient and in the
+    """The integer-row ``Specialization``, and ``subs`` of constants read
+    into the target (``subs_into``), against ``fraction_specialize``,
+    coefficient for coefficient and in the
     same dict order, on seeded polynomials built so that terms collide and
     cancel after the substitution, stray ones included."""
 
@@ -505,13 +566,13 @@ class TestSpecializationOracle:
                 want = fraction_specialize(p, point, target)
             except UnknownVariable as err:
                 seen["raised"] += 1
-                for run in (lambda: p.specialize(point, target),
+                for run in (lambda: subs_into(p, point, target),
                             lambda: plan(point)):
                     with pytest.raises(UnknownVariable) as got:
                         run()
                     assert str(got.value) == str(err)
                 continue
-            got = p.specialize(point, target)
+            got = subs_into(p, point, target)
             assert got.ring == target
             assert list(got.terms.items()) == list(want.terms.items()), \
                 (p, point, target)
@@ -538,6 +599,11 @@ class TestSpecializationOracle:
         # u*s - 2*u*t vanishes at s = 2, t = 1, so u may be missing
         p = self.R5.parse("x + u*s - 2*u*t")
         target = PolyRing(("x",))
-        assert p.specialize({"s": 2, "t": 1}, target) == target.var("x")
-        with pytest.raises(UnknownVariable, match="'u'"):
-            p.specialize({"s": 2, "t": 2}, target)
+        assert subs_into(p, {"s": 2, "t": 1}, target) == target.var("x")
+        assert from_row(target, *Specialization(p, ("s", "t"), target)(
+            {"s": 2, "t": 1})) == target.var("x")
+        for run in (lambda: subs_into(p, {"s": 2, "t": 2}, target),
+                    lambda: Specialization(p, ("s", "t"), target)(
+                        {"s": 2, "t": 2})):
+            with pytest.raises(UnknownVariable, match="'u'"):
+                run()
