@@ -424,12 +424,17 @@ def _buchberger(rows: Sequence[Row], code: _Encoding,
 
     The basis is kept as primitive integer rows: each row is divided by its
     integer content when it enters the basis.  S-polynomials and reductions
-    are fraction-free, by the same kernel that ``normal_form`` uses.  The
-    input enters first, in increasing lead order (Giovini et al., "One sugar
-    cube, please", ISSAC 1991): each generator is reduced by the smaller
-    leads before it divides others, so no large unreduced input scales
-    every later division.  Pairs are then selected by the sugar strategy,
-    ties going to the smaller lcm in the basis's order, and pruned by the
+    are fraction-free, by the same kernel that ``normal_form`` uses.  One
+    loop takes the input and the pairs by the sugar strategy (Giovini et
+    al., "One sugar cube, please", ISSAC 1991).  The input enters in
+    increasing lead order: each generator is reduced by the smaller leads
+    before it divides others, so no large unreduced input scales every
+    later division.  The next input enters unless a pending pair has a
+    strictly smaller sugar, so a high-degree input (such as the monomials
+    of a power of the maximal ideal) waits until the cheap pairs of the
+    inputs before it are done, and does not swell their reductions.  Pairs
+    are selected by sugar, ties going to the smaller lcm in the basis's
+    order, and pruned by the
     Gebauer-Moeller update (criteria M, F and B and the coprime-lead
     criterion) on the kernel's ``exponent_fields`` of the leads, run once
     for each new basis element; an element whose lead a newer lead divides
@@ -519,17 +524,15 @@ def _buchberger(rows: Sequence[Row], code: _Encoding,
     pending = sorted(zip(packed, [max(map(sum, row)) for row in rows]),
                      key=lambda p: max(p[0]))
     unit_found = False
-    while pending and not unit_found:
-        row, sugar = pending.pop(0)
+    while (pending or pairs) and not unit_found:
+        if pending and not (pairs and pairs[0][0] < pending[0][1]):
+            row, sugar = pending.pop(0)
+        else:
+            # a pair's sugar is that of its S-polynomial's remainder
+            sugar, lcm, i, j, _ = heapq.heappop(pairs)
+            row = basis.s_polynomial(i, j, lcm)
         row = reduce(row)
         unit_found = bool(row) and add_row(row, sugar)
-
-    # a pair's sugar is that of its S-polynomial's remainder
-    while pairs and not unit_found:
-        sugar, lcm, i, j, _ = heapq.heappop(pairs)
-        rem = reduce(basis.s_polynomial(i, j, lcm))
-        if rem:
-            unit_found = add_row(rem, sugar)
 
     if unit_found and stop_at_unit:
         return _Reducer(code, [{(0,) * code.ring.nvars: 1}])

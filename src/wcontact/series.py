@@ -15,13 +15,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (CertificationFailed, ContactOrderMismatch,
                      InconsistentBranchCount, InfiniteColength, NotAUnit,
-                     NotIsolated, Unsupported)
+                     NotIsolated, Unsupported, UsageError)
 from .linalg import echelon
 from .poly import (Exponents, Poly, PolyRing, TermOrder, from_row, mono_mul,
                    row_product)
 
 DEFAULT_TRUNCATION = 12
 TRUNCATION_CAP = 48
+# the truncation orders certification tries, each capped at min(d^n, 48)
+CERTIFY_ORDERS = (4, 8, 12, 24, TRUNCATION_CAP)
 
 
 def truncate_poly(p: Poly, var_names: Sequence[str], N: int) -> Poly:
@@ -40,16 +42,20 @@ def truncated_product(a: Poly, b: Poly, var_names: Sequence[str],
     coefficient of the result once, as a ``Fraction``, from the product of
     their scales."""
     if a.ring != b.ring:
-        raise ValueError(f"ring mismatch: {a.ring} vs {b.ring}")
+        raise UsageError(f"ring mismatch: {a.ring} vs {b.ring}")
     idx = [a.ring.index(v) for v in var_names]
+    if sorted(idx) == list(range(a.ring.nvars)):
+        deg = sum  # every variable is truncated, as in Weierstrass preparation
+    else:
+        def deg(e):
+            return sum(e[i] for i in idx)
     arow, ascale = a.primitive_terms()
     brow, bscale = b.primitive_terms()
     # b's terms in ascending degree, so each term of a pairs with a prefix
-    graded = sorted(brow.items(),
-                    key=lambda t: (sum(t[0][i] for i in idx), t[0]))
-    degrees = [sum(e[i] for i in idx) for e, _ in graded]
+    graded = sorted(brow.items(), key=lambda t: (deg(t[0]), t[0]))
+    degrees = [deg(e) for e, _ in graded]
     terms = row_product(arow, graded, lambda e1: bisect_right(
-        degrees, N - sum(e1[i] for i in idx)))
+        degrees, N - deg(e1)))
     scale = ascale * bscale
     return from_row(a.ring, terms, scale.numerator, scale.denominator)
 
@@ -64,10 +70,18 @@ class TruncatedSeries:
         self.order = order
         self.body = truncate_poly(body, self.small, order)
 
+    @classmethod
+    def _truncated(cls, body: Poly, order: int,
+                   small: Tuple[str, ...]) -> "TruncatedSeries":
+        """The series of a body already truncated at ``order``."""
+        series = cls.__new__(cls)
+        series.body, series.order, series.small = body, order, small
+        return series
+
     def _join(self, other: "TruncatedSeries") -> Tuple[int, Tuple[str, ...]]:
         if isinstance(other, TruncatedSeries):
             if set(self.small) != set(other.small):
-                raise ValueError("truncated-variable sets differ")
+                raise UsageError("truncated-variable sets differ")
             return min(self.order, other.order), self.small
         return self.order, self.small
 
@@ -99,7 +113,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         other = self._coerce(other)
         n, small = self._join(other)
-        return TruncatedSeries(
+        return TruncatedSeries._truncated(
             truncated_product(self.body, other.body, small, n), n, small)
 
     __rmul__ = __mul__
@@ -181,7 +195,8 @@ def weierstrass_prepare_x(E: Poly, w: int, N: int = DEFAULT_TRUNCATION,
     if small is None:
         small = tuple(v for v in ring.variables if v != x)
     if x in small:
-        raise ValueError("x cannot be one of the truncated complement variables")
+        raise UsageError(
+            "x cannot be one of the truncated complement variables")
     trunc_vars = (x,) + tuple(small)
 
     E0x = E.subs({v: 0 for v in ring.variables if v != x})
@@ -262,25 +277,30 @@ class LocalIdeal:
         self._rewrite: Optional[Dict[Exponents, Dict[Exponents, Fraction]]] = None
 
     def certify(self) -> "LocalIdeal":
-        """Certify finite colength, doubling the truncation order from 12 (or
-        the cap, if lower) up to the cap min(d^n, 48).
+        """Certify finite colength at the truncation orders 4, 8, 12, 24 and
+        48 in turn, each capped at the cap min(d^n, 48).
 
         Each order either certifies, proves the colength infinite (see
-        :meth:`_try_certify`) or leaves the question open.  The proof always
-        lands by the Bezout bound d^n, so an open question at the cap means
-        the cap is TRUNCATION_CAP, below d^n: CertificationFailed, which is
-        no conclusion."""
+        :meth:`_try_certify`) or leaves the question open.  The result does
+        not depend on the order that proves it: the power degree j is the
+        least with m^j in I + m^(N+1), which Nakayama makes independent of N
+        once found, and the quotient basis and rewrite map are those of the
+        reduced echelon form of I in O/m^j.  So the schedule starts low,
+        where most ideals already certify; 12 stays in it because a finite
+        colength of x*y*s's Tjurina ideal would be at most 27, and order 12
+        is the first with more independent monomials (37).  The proof
+        always lands by the Bezout bound d^n, so an open question at the cap
+        means the cap is TRUNCATION_CAP, below d^n: CertificationFailed,
+        which is no conclusion."""
         if self.truncation is not None:
             return self
-        N = min(DEFAULT_TRUNCATION, self.cap)
-        while not self._try_certify(N):
-            if N == self.cap:
-                raise CertificationFailed(
-                    f"colength not certified up to truncation order {N}, "
-                    f"below the Bezout bound {self._bezout}")
-            N = min(2 * N, self.cap)
-        self.truncation = N
-        return self
+        for N in sorted({min(order, self.cap) for order in CERTIFY_ORDERS}):
+            if self._try_certify(N):
+                self.truncation = N
+                return self
+        raise CertificationFailed(
+            f"colength not certified up to truncation order {N}, "
+            f"below the Bezout bound {self._bezout}")
 
     def _try_certify(self, N: int) -> bool:
         """Echelon the image of the ideal in O/m^(N+1).  True when some m^j
@@ -295,20 +315,21 @@ class LocalIdeal:
         d^n + 1 of them.  Fewer leave the question open: False."""
         nv = len(self.variables)
         grkey = TermOrder.degrevlex(self.variables).key_function(self.ring)
-
-        def deg(e):
-            return sum(e)
+        deg = sum
 
         def key(e):
             # local order: the lowest-degree term leads, so every echelon
             # tail sits deeper in the maximal ideal than its pivot
             return (-deg(e), grkey(e))
 
-        # each generator's primitive integer row spans the same line
-        gens = [g.primitive_terms()[0] for g in self._gens]
+        # each generator's primitive integer row spans the same line; its
+        # terms are listed with their degrees
+        gens = [[(e, c, deg(e)) for e, c in g.primitive_terms()[0].items()]
+                for g in self._gens]
 
         # span of the image of the ideal in Q[vars]/m^(N+1)
         monomials = _monomials_up_to(nv, N)
+        degrees = list(map(deg, monomials))
         # the local order is a total order on the monomials, so their rank
         # in it picks the same leads as the key
         rank = {m: i for i, m in enumerate(sorted(monomials, key=key))}
@@ -316,12 +337,12 @@ class LocalIdeal:
         def rows():
             # (multiplying by a monomial is injective, so no terms collide)
             for g in gens:
-                gmin = min(deg(e) for e in g)
-                for m in monomials:
-                    dm = deg(m)
-                    if dm + gmin <= N:
-                        yield {mono_mul(m, e): c for e, c in g.items()
-                               if dm + deg(e) <= N}
+                gmin = min(d for _, _, d in g)
+                for m, dm in zip(monomials, degrees):
+                    room = N - dm
+                    if gmin <= room:
+                        yield {mono_mul(m, e): c for e, c, d in g
+                               if d <= room}
 
         # each row is made as the elimination takes it, so the rows are
         # never all held at once
@@ -329,11 +350,9 @@ class LocalIdeal:
         # smallest j such that every degree-j monomial is a pivot: its tail
         # then lies in m^(j+1), so m^j is contained in I + m^(j+1) and hence
         # in I by Nakayama
-        j = None
-        for cand in range(0, N + 1):
-            if all(m in pivots for m in monomials if deg(m) == cand):
-                j = cand
-                break
+        unpivoted = {d for m, d in zip(monomials, degrees)
+                     if m not in pivots}
+        j = next((d for d in range(N + 1) if d not in unpivoted), None)
         if j is None:
             free = len(monomials) - len(pivots)
             if free > self._bezout:

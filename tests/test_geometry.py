@@ -85,9 +85,9 @@ class TestSingularLocus:
         with pytest.raises(UsageError):
             singular_locus_ideal(S)
 
-    def test_chart_basis_forms_202_s_polynomials(self, monkeypatch):
+    def test_chart_basis_forms_203_s_polynomials(self, monkeypatch):
         """Criterion M keeps the same pairs: the degrevlex basis of the
-        chart's singular-locus ideal forms 202 S-polynomials."""
+        chart's singular-locus ideal forms 203 S-polynomials."""
         calls = []
         s_polynomial = groebner._Reducer.s_polynomial
 
@@ -98,7 +98,7 @@ class TestSingularLocus:
         sing = singular_locus_ideal(h_scheme())
         monkeypatch.setattr(groebner._Reducer, "s_polynomial", counting)
         gb_buchberger(sing, TermOrder.degrevlex(H_VARS))
-        assert len(calls) == 202
+        assert len(calls) == 203
 
 
 def _solve_h_point(rng):

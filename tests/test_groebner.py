@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -592,6 +593,35 @@ class TestInputOrder:
         assert len(G) == 32
         # with the input in caller order the largest was 5,700 bits
         assert max(bits) <= 256
+
+    def test_cheap_pairs_finish_before_a_high_degree_input(self,
+                                                           monkeypatch):
+        """An input waits while a pending pair has a smaller sugar.  In the
+        Tjurina oracle ideal <f, f_x, f_y> + m^18 of the germ below (the
+        germs workload's at seed 21), the degree-18 monomials entering
+        right after f once made 347,400-bit coefficients and took 8 to 9 s;
+        the basis equals the one built from <f, f_x, f_y>'s basis."""
+        f = R.parse("x^10*y^2 + 2*x^9*y^2 + x^10 - x^8*y + y^3")
+        gens = [f, f.partial("x"), f.partial("y")]
+        power = [R.monomial((k, 18 - k)) for k in range(19)]
+        order = TermOrder.degrevlex(R.variables)
+        two_step = gb_buchberger(gb_buchberger(gens, order).generators
+                                 + power, order)
+        bits = []
+        reduce = groebner._Reducer.reduce
+
+        def recording(self, row, stop=False):
+            rem, mult = reduce(self, row, stop)
+            bits.append(max(abs(c).bit_length()
+                            for c in (mult, *rem.values())))
+            return rem, mult
+
+        monkeypatch.setattr(groebner._Reducer, "reduce", recording)
+        start = time.perf_counter()
+        G = gb_buchberger(gens + power, order)
+        assert time.perf_counter() - start < 2.0
+        assert [g.terms for g in G] == [g.terms for g in two_step]
+        assert max(bits) <= 2 ** 15
 
 
 def _fields(code, e):

@@ -1,6 +1,7 @@
 """Truncated series, Weierstrass preparation, certified colengths and the
 classical singularity invariants."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ import wcontact
 from wcontact.errors import (CertificationFailed, ContactOrderMismatch,
                              InconsistentBranchCount, InfiniteColength,
                              NotAUnit, NotIsolated, UnknownVariable,
-                             Unsupported)
+                             Unsupported, UsageError)
 from wcontact.poly import Poly, PolyRing
 from wcontact.series import (LocalIdeal, TruncatedSeries,
                              delta_invariant, local_colength, milnor_number,
@@ -69,6 +70,17 @@ def _random_poly(rng, ring, nterms, max_exp=4, const=None):
     if const is not None:
         terms[(0,) * ring.nvars] = Fraction(const)
     return Poly(ring, {e: c for e, c in terms.items() if c})
+
+
+def _certify_doubling_from_12(I):
+    """Certify I at the orders min(12, cap), then doubling up to the cap:
+    the schedule of ``LocalIdeal.certify`` before it started at 4."""
+    N = min(12, I.cap)
+    while not I._try_certify(N):
+        if N == I.cap:
+            raise CertificationFailed(f"not certified at order {N}")
+        N = min(2 * N, I.cap)
+    I.truncation = N
 
 
 def _geometric_inverse(u):
@@ -126,8 +138,13 @@ class TestTruncatedProduct:
                                           ("x", "y"), 2)
 
     def test_ring_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             truncated_product(x, PolyRing(("s",)).var("s"), ("x",), 3)
+
+    def test_truncated_variable_sets_differ(self):
+        with pytest.raises(UsageError):
+            TruncatedSeries(1 + x, 3, ("x", "y")) * TruncatedSeries(1 + x, 3,
+                                                                    ("x",))
 
 
 class TestNewtonInverse:
@@ -194,6 +211,10 @@ class TestWeierstrass:
     def test_wrong_contact_order(self):
         with pytest.raises(ContactOrderMismatch):
             weierstrass_prepare_x(y**2 + x**4, 3, 8, small=("y",))
+
+    def test_x_among_the_complement_variables(self):
+        with pytest.raises(UsageError):
+            weierstrass_prepare_x(y**2 + x**4, 4, 8, small=("x", "y"))
 
     def test_random_families_product_congruence(self):
         rng = random.Random(42)
@@ -342,7 +363,8 @@ class TestColength:
             I.certify()
         assert I.cap == 1
         # the Tjurina ideal of x*y*s: 37 > 3^3 independent monomials at
-        # order 12, the first order tried, so cap records 12
+        # order 12, the first order that decides (4 and 8 leave 13 and 25),
+        # so cap records 12
         ring = PolyRing(("x", "y", "s"))
         F = ring.parse("x*y*s")
         I = LocalIdeal([F] + [F.partial(v) for v in ring.variables])
@@ -408,6 +430,47 @@ class TestColength:
             mod = list(gens)
             mod[i] = u * mod[i]
             assert local_colength(mod, ("x", "y")) == base
+
+    def test_certifies_at_the_first_order_that_proves_it(self):
+        # m^2 lies in <y, x^2>, so order 4 already certifies
+        assert LocalIdeal([y, x**2], ("x", "y")).certify().truncation == 4
+
+    @pytest.mark.parametrize("names", [("x", "y"), ("x", "y", "z")])
+    def test_results_do_not_depend_on_the_certifying_order(self, names):
+        """On seeded random ideals, the colength, quotient basis, power
+        degree and reduction map equal those certified by doubling the
+        order from 12 up to the cap, and so does every refusal's type."""
+        rng = random.Random(29)
+        ring = PolyRing(names)
+        # total degree at most 4 in two variables and 2 in three: caps of
+        # 16 and 8, so the old schedule tries 12 and 16, or 8
+        degree = 4 if len(names) == 2 else 2
+        monomials = [e for e in itertools.product(range(degree + 1),
+                                                  repeat=len(names))
+                     if 0 < sum(e) <= degree]
+        earlier = 0  # certified below the old schedule's order
+        for _ in range(60):
+            gens = [Poly(ring, {e: Fraction(rng.choice((-3, -1, 1, 2)),
+                                            rng.randint(1, 2))
+                                for e in rng.sample(monomials, 3)})
+                    for _ in range(rng.randint(len(names), len(names) + 1))]
+            I, old = LocalIdeal(gens, names), LocalIdeal(gens, names)
+            try:
+                I.certify()
+            except (CertificationFailed, InfiniteColength) as exc:
+                with pytest.raises(type(exc)):
+                    _certify_doubling_from_12(old)
+                continue
+            _certify_doubling_from_12(old)
+            assert I.truncation <= old.truncation
+            earlier += I.truncation < old.truncation
+            assert I.colength == old.colength
+            assert I.quotient_basis == old.quotient_basis
+            assert I.min_series_order() == old.min_series_order()
+            for _ in range(5):
+                p = _random_poly(rng, ring, rng.randint(1, 6), degree)
+                assert I.reduce(p) == old.reduce(p)
+        assert earlier >= 20
 
     def test_reduce_and_contains(self):
         I = LocalIdeal([y, x**2], ("x", "y")).certify()
