@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (InconsistentResult, NotAUnit, SamplingFailed,
-                     UnknownVariable, Unsupported, UsageError, WrongKind)
+                     Unsupported, UsageError, WrongKind)
 from .families import ContactFamily
 from .groebner import (GroebnerBasis, _Encoding, _buchberger, gb_buchberger,
                        normal_form, staircase_complement)
@@ -195,22 +195,36 @@ class LiftedIdeal:
     graph_relation: Poly
     kind: str                      # "contact" or "interior"
     # the lift coordinate: z, with _ appended while that name is a variable
-    # of the ideal's or the family's ring
+    # of the family's ring or of any generator's
     z: str
     base_z: Fraction               # z-coordinate of the completion point
+
+
+def _lift(F: ContactFamily, ideal_gens: Sequence[Poly]
+          ) -> Tuple[str, List[Poly]]:
+    """The lift coordinate's name and the lifted generators, the graph
+    relation last: f - z*g for a contact family, z - E for an interior one.
+    The lift ring is the first generator's ring, extended by the family's
+    and then the other generators' variables, and then by z."""
+    ring = ideal_gens[0].ring if ideal_gens else F.E.ring
+    for p in (F.E, *ideal_gens[1:]):
+        ring = ring.extend(p.ring.variables)
+    z = ring.fresh("z")
+    ring = ring.extend((z,))
+    if F.kind == "contact":
+        graph = F.f.map_to(ring) - ring.var(z) * F.g.map_to(ring)
+    else:
+        graph = ring.var(z) - F.E.map_to(ring)
+    return z, [p.map_to(ring) for p in ideal_gens] + [graph]
 
 
 def lift_contact(F: ContactFamily, ideal_gens: Sequence[Poly]) -> LiftedIdeal:
     """Append the graph relation f - z*g; defined for contact families only."""
     F.require_contact()
-    ring0 = ideal_gens[0].ring if ideal_gens else F.E.ring
-    z = ring0.extend(F.E.ring.variables).fresh("z")
-    ring = ring0.extend(F.E.ring.variables + (z,))
-    graph = F.f.map_to(ring) - ring.var(z) * F.g.map_to(ring)
+    z, gens = _lift(F, ideal_gens)
     f00 = F.f0().constant_term()
     g00 = F.g0().constant_term()
-    gens = [p.map_to(ring) for p in ideal_gens] + [graph]
-    return LiftedIdeal(gens, graph, "contact", z, f00 / g00)
+    return LiftedIdeal(gens, gens[-1], "contact", z, f00 / g00)
 
 
 def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly]) -> LiftedIdeal:
@@ -220,12 +234,8 @@ def lift_interior(F: ContactFamily, ideal_gens: Sequence[Poly]) -> LiftedIdeal:
     E0 = F.at_base_point()
     if E0.constant_term() != 0:
         raise WrongKind("central equation does not vanish at the origin")
-    ring0 = ideal_gens[0].ring if ideal_gens else F.E.ring
-    z = ring0.extend(F.E.ring.variables).fresh("z")
-    ring = ring0.extend(F.E.ring.variables + (z,))
-    graph = ring.var(z) - F.E.map_to(ring)
-    gens = [p.map_to(ring) for p in ideal_gens] + [graph]
-    return LiftedIdeal(gens, graph, "interior", z, Fraction(0))
+    z, gens = _lift(F, ideal_gens)
+    return LiftedIdeal(gens, gens[-1], "interior", z, Fraction(0))
 
 
 def an_surface(n: int, ring: Optional[PolyRing] = None) -> Poly:
@@ -279,28 +289,28 @@ def _random_rational(rng: random.Random) -> Fraction:
 def verify_membership_equivalence(F: ContactFamily,
                                   ideal_gens: Sequence[Poly],
                                   samples: int = 25,
-                                  seed: int = 0,
-                                  extra_points: Sequence[Dict[str, Fraction]] = ()
-                                  ) -> CorrespondenceReport:
+                                  seed: int = 0) -> CorrespondenceReport:
     """At random rational parameter specializations, check that
 
       contact:   [y*z + x^w in lifted ideal]  <=>  [E in ideal]
       interior:  [z in lifted ideal]          <=>  [E in ideal]
 
     and that eliminating z from the lift recovers the input ideal.
-    Samples where the boundary factor g fails to be invertible modulo the
-    specialized ideal are rejected and redrawn.  Each caller-supplied point
-    in ``extra_points`` must name parameters only.
+    Every variable of the family and the ideal other than x and y is a
+    parameter, and each point draws all of them, in the order of the
+    family's ring extended by each generator's ring.  Samples where the
+    boundary factor g fails to be invertible modulo the specialized ideal
+    are rejected and redrawn.
 
     The check runs on primitive integer rows from specialisation to
     verdict, and builds no ``Poly`` on the way.  E, the ideal's generators,
-    g and the graph relation (f - z*g or z - E, formed once in the ring with
-    z) are each compiled once per call into a ``Specialization`` for the
-    names a point gives; at each point they evaluate to integer rows.  The
-    bases are ``_buchberger``'s kernels, all starting from the two
-    encodings (order and ring) built once per call, and each membership is
-    a zero remainder of a kernel division.  An ideal whose generators
-    involve no free parameter gets one curve basis per call.
+    g and the graph relation (f - z*g or z - E, with z and the relation
+    from ``_lift``, as the lifts take them) are each compiled once into a
+    ``Specialization`` of every parameter; at each point they evaluate to
+    integer rows.  The bases are ``_buchberger``'s kernels, all starting
+    from the two encodings (order and ring) built once per call, and each
+    membership is a zero remainder of a kernel division.  An ideal whose
+    generators involve no parameter gets one curve basis per call.
 
     Both bases use the order of the package's charts on (x, y), lex y>x:
     the curve basis (and the invertibility check of g) under lex y>x, the
@@ -315,66 +325,39 @@ def verify_membership_equivalence(F: ContactFamily,
     lead is z-free throughout, so ``low`` is read off the leads, and its
     rows become rows in (x, y) by dropping z.  The lift basis is always
     computed from the lifted generators and the graph relation, never from
-    the curve basis, so the two sides stay independent.  The lift
-    coordinate z is named as in ``lift_contact``, so every variable of the
-    family and the ideal other than x and y is a parameter.
+    the curve basis, so the two sides stay independent.
     """
     rng = random.Random(seed)
     ring_all = F.E.ring
     for p in ideal_gens:
         ring_all = ring_all.extend(p.ring.variables)
-    z_name = ring_all.fresh("z")
-    free_params = tuple(v for v in ring_all.variables
-                        if v not in (F.x, F.y))
-    for point in extra_points:
-        for name in point:
-            if name not in free_params:
-                raise UnknownVariable(
-                    f"sample point names {name!r}, which is not a parameter "
-                    f"of the family or the ideal")
+    params = tuple(v for v in ring_all.variables if v not in (F.x, F.y))
+    z_name, lifted = _lift(F, ideal_gens)
     geo_ring = PolyRing((F.x, F.y))
     z_ring = PolyRing((F.x, F.y, z_name))
     geo_code = _Encoding(TermOrder.lex((F.y, F.x)), geo_ring)
     elim_code = _Encoding(TermOrder.lex((z_name, F.y, F.x)), z_ring)
-
-    graph_ring = F.E.ring.extend((z_name,))
-    z = graph_ring.var(z_name)
     if F.kind == "contact":
         target = an_surface(F.w - 1, z_ring)
-        graph = F.f.map_to(graph_ring) - z * F.g.map_to(graph_ring)
+        g_plan = Specialization(F.g, params, geo_ring)
     else:
-        target = z_ring.var(z_name)
-        graph = z - F.E.map_to(graph_ring)
+        target, g_plan = z_ring.var(z_name), None
     target_row = target.primitive_terms()[0]
 
-    def compiled(names: Tuple[str, ...]):
-        return (Specialization(F.E, names, geo_ring),
-                [Specialization(p, names, geo_ring) for p in ideal_gens],
-                Specialization(F.g, names, geo_ring)
-                if F.kind == "contact" else None,
-                Specialization(graph, names, z_ring))
+    E_plan = Specialization(F.E, params, geo_ring)
+    gen_plans = [Specialization(p, params, geo_ring) for p in ideal_gens]
+    graph_plan = Specialization(lifted[-1], params, z_ring)
 
-    plans: Dict[Tuple[str, ...], tuple] = {}
-    fixed_curve = not any(set(p.variables_used()) & set(free_params)
-                          for p in ideal_gens)
+    fixed_curve = not any(q.names for q in gen_plans)
     curve = None
     results: List[SampleResult] = []
     rejected = 0
-    pending = list(extra_points)
     attempts = 0
     while len(results) < samples:
         attempts += 1
         if attempts > 50 * samples + 100:
             raise SamplingFailed("sampling failed to find admissible points")
-        if pending:
-            point = dict(pending.pop(0))
-        else:
-            point = {v: _random_rational(rng) for v in free_params}
-        names = tuple(v for v in free_params if v in point)
-        plan = plans.get(names)
-        if plan is None:
-            plan = plans[names] = compiled(names)
-        E_plan, gen_plans, g_plan, graph_plan = plan
+        point = {v: _random_rational(rng) for v in params}
 
         E_row = E_plan(point)[0]
         gens_rows = [r for r in (q(point)[0] for q in gen_plans) if r]

@@ -118,7 +118,7 @@ class Poly:
 
     def as_constant(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
+            raise UsageError(f"not a constant: {self}")
         return self.constant_term()
 
     def total_degree(self) -> int:
@@ -152,7 +152,7 @@ class Poly:
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.ring != self.ring:
-                raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
+                raise UsageError(f"ring mismatch: {self.ring} vs {other.ring}")
             return other
         return self.ring.const(other)
 
@@ -199,7 +199,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative exponent")
+            raise UsageError("negative exponent")
         result = self.ring.one()
         base = self
         while n:
@@ -368,47 +368,36 @@ def row_product(a: Row, b: Sequence[Tuple[Exponents, int]],
 class Specialization:
     """A polynomial p compiled for substituting constants for the variables
     of its ring that ``names`` holds and writing the result into ``ring``;
-    calling it at a point specialises p there on integers alone.  It is the
-    compiled path for one polynomial at many points, as the sampling of
-    ``verify_membership_equivalence`` needs; ``Poly.subs`` is the path for
-    one substitution.
+    calling it at a point that names every substituted variable specialises
+    p there on integers alone.  It is the compiled path for one polynomial
+    at many points, as the sampling of ``verify_membership_equivalence``
+    needs; ``Poly.subs`` is the path for one substitution.
 
     Each term keeps its coefficient c in the primitive form of p, its
     exponents k_i in the substituted variables and its exponents in
     ``ring``.  At values n_i/d_i it is worth c·Π n_i^k_i·d_i^(K_i−k_i), K_i
-    the largest k_i in p: its value times p's scale and Π d_i^K_i.  A term
-    in a variable that is neither substituted nor in ``ring`` is *stray*:
-    it is keyed by that variable's name and its exponents outside the
-    substitution instead, and a stray key whose sum is nonzero raises
-    UnknownVariable, as ``map_to`` does.
+    the largest k_i in p: its value times p's scale and Π d_i^K_i.  A
+    variable that p uses, that is not substituted and that ``ring`` lacks
+    raises UnknownVariable here, as ``map_to`` does, so no term is dropped.
     """
 
-    __slots__ = ("ring", "names", "degrees", "scale", "terms", "stray")
+    __slots__ = ("names", "degrees", "scale", "terms")
 
     def __init__(self, p: Poly, names, ring: PolyRing):
-        variables = p.ring.variables
-        kept = [i for i, v in enumerate(variables) if v not in names]
-        # where each exponent in ring comes from (-1: it is 0), and the
-        # variables that make a term stray
+        used = p.variables_used()
+        for v in used:
+            if v not in names and v not in ring._index:
+                raise UnknownVariable(f"variable {v!r} not in {ring!r}")
+        # where each exponent in ring comes from (-1: it is 0)
         take = [-1 if v in names else p.ring._index.get(v, -1)
                 for v in ring.variables]
-        out = [i for i in kept if variables[i] not in ring._index]
-        fixed = [i for i, v in enumerate(variables)
-                 if v in names and any([e[i] for e in p.terms])]
-        self.ring = ring
-        self.names = tuple([variables[i] for i in fixed])
+        self.names = tuple([v for v in used if v in names])
+        fixed = [p.ring.index(v) for v in self.names]
         self.degrees = tuple([max([e[i] for e in p.terms]) for i in fixed])
         row, self.scale = p.primitive_terms()
-        self.terms: List[Tuple[tuple, int, Exponents]] = []  # (key, c, k)
-        self.stray = set()
-        for e, c in row.items():
-            i = next((i for i in out if e[i]), -1) if out else -1
-            if i < 0:
-                key = tuple([e[j] if j >= 0 else 0 for j in take])
-            else:
-                key = (variables[i], tuple([e[j] for j in kept]))
-                self.stray.add(key)
-            self.terms.append((key, c, tuple([e[j] for j in fixed])))
+        self.terms: List[Tuple[Exponents, int, Exponents]] = [
+            (tuple([e[j] if j >= 0 else 0 for j in take]), c,
+             tuple([e[i] for i in fixed])) for e, c in row.items()]
 
     def __call__(self, point: Dict[str, "int | Fraction"]
                  ) -> Tuple[Row, int, int]:
@@ -431,11 +420,6 @@ class Specialization:
             if c:
                 s = row.get(e)
                 row[e] = c if s is None else s + c
-        if self.stray:
-            for key, c in row.items():
-                if c and key in self.stray:
-                    raise UnknownVariable(
-                        f"variable {key[0]!r} not in {self.ring!r}")
         content = math.gcd(*row.values()) or 1  # 0 when every sum cancelled
         row = {e: c // content for e, c in row.items() if c}
         return (row, self.scale.numerator * content,

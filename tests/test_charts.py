@@ -391,6 +391,20 @@ class TestVariableNames:
                                     self.RZ.parse("x^2")])
         assert L.z == "z_"
 
+    @pytest.mark.parametrize("lift, kind, E", [
+        (lift_contact, "contact", "y^2 + x^4"),
+        (lift_interior, "interior", "y^2 + x^3")])
+    def test_a_later_generator_named_z_moves_the_coordinate(self, lift,
+                                                            kind, E):
+        # the coordinate name reads every generator's ring, so the order of
+        # the generators cannot turn a generator's z into the coordinate
+        F = ContactFamily(GEO.parse(E), (), kind)
+        y, bent = GEO.parse("y"), self.RZ.parse("x^2 - z*x^3")
+        for gens in ([y, bent], [bent, y]):
+            L = lift(F, gens)
+            assert L.z == "z_"
+            assert bent.map_to(L.graph_relation.ring) in L.generators
+
     @pytest.mark.parametrize("kind", ["contact", "interior"])
     def test_correspondence_samples_a_parameter_named_z(self, kind):
         E = self.RZ.parse("(y^2+x^4)+z*x*(y+x^3)" if kind == "contact"
@@ -442,42 +456,6 @@ class TestMembershipCorrespondence:
         G = ContactFamily.interior(ring.parse("y^2 + x^3 + t*y"), ("t",))
         report = verify_membership_equivalence(
             G, [ring.parse("y"), ring.parse("x^2")], samples=8, seed=3)
-        assert report.ok
-
-    def test_known_positive_point(self):
-        # at s = t = 0 the curve y^2 + x^4 lies in <y, x^2>... it does not;
-        # but it does lie in <y, x^4>, giving a guaranteed positive sample
-        F = fam_st()
-        report = verify_membership_equivalence(
-            F, [RST.parse("y"), RST.parse("x^4")], samples=5, seed=1,
-            extra_points=[{"s": Fraction(0), "t": Fraction(0)}])
-        assert report.ok
-        first = report.samples[0]
-        assert first.point == {"s": "0", "t": "0"}
-        assert first.curve_membership and first.surface_membership
-
-    def test_extra_point_must_name_parameters_only(self):
-        for point in ({"s": 0, "t": 0, "u": 1}, {"s": 0, "t": 0, "x": 1}):
-            with pytest.raises(UnknownVariable):
-                verify_membership_equivalence(
-                    fam_st(), [RST.parse("y"), RST.parse("x^4")], samples=1,
-                    extra_points=[point])
-
-    def test_partial_point_raises_the_typed_error(self):
-        # a point that leaves t free: t survives in E, whose specialisation
-        # must land in (x, y)
-        with pytest.raises(UnknownVariable) as err:
-            verify_membership_equivalence(
-                fam_st(), [RST.parse("y"), RST.parse("x^2")],
-                extra_points=[{"s": 1}])
-        assert str(err.value) == "variable 't' not in PolyRing(x, y)"
-        # a parameter the point leaves out is harmless where it vanishes
-        report = verify_membership_equivalence(
-            ContactFamily.contact(RST.parse("y^2 + x^4 + s*t*x*y"),
-                                  ("s", "t")),
-            [RST.parse("y"), RST.parse("x^4")], samples=2, seed=1,
-            extra_points=[{"s": 0}])
-        assert report.samples[0].point == {"s": "0"}
         assert report.ok
 
     def test_deterministic_in_seed(self):

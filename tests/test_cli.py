@@ -1,6 +1,8 @@
 """End-to-end command-line interface and job-runner tests; every JSON report
 must validate against the published schema."""
 
+import ast
+import builtins
 import collections
 import hashlib
 import json
@@ -704,6 +706,25 @@ def test_a_fault_of_the_program_is_not_reported_as_input(monkeypatch):
         main(["milnor", "--poly", "y^2+x^4"])
     with pytest.raises(ValueError, match="a fault of the program"):
         run_job(JOB_HEAD + "task a = milnor P\n")
+
+
+def test_the_library_raises_no_builtin_exception():
+    """A refusal of the library is always a WContactError: no module of the
+    package raises ValueError, TypeError, KeyError, Exception or any other
+    built-in exception class (a bare ``raise`` re-raises and is allowed)."""
+    found = []
+    for path in sorted(PKG_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            name = getattr(exc, "id", "")
+            builtin = getattr(builtins, name, None)
+            if isinstance(builtin, type) and issubclass(builtin,
+                                                        BaseException):
+                found.append(f"{path.name}:{node.lineno} raises {name}")
+    assert found == []
 
 
 @pytest.mark.parametrize("text, message", [
